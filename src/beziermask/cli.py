@@ -141,14 +141,19 @@ def cmd_eval(args) -> int:
     if not stems:
         print("no matched pred/gt pairs", file=sys.stderr)
         return 1
-    reports = []
+    scored, reports = [], []
     for stem in stems:
-        gt = mask_ops.load_pgm(gts[stem].read_bytes())
-        pred = _load_pred(preds[stem], gt.shape)
-        reports.append(metrics.compare_masks(pred, gt))
-    summary = metrics.summarize(reports)
-    metrics.write_metrics_csv(args.out, stems, reports, summary)
-    return 0
+        try:
+            gt = mask_ops.load_pgm(gts[stem].read_bytes())
+            pred = _load_pred(preds[stem], gt.shape)
+            reports.append(metrics.compare_masks(pred, gt))
+        except (BezierMaskError, OSError, ValueError) as e:
+            print(f"eval failed: {stem}: {type(e).__name__}: {e}", file=sys.stderr)
+            continue
+        scored.append(stem)
+    if reports:
+        metrics.write_metrics_csv(args.out, scored, reports, metrics.summarize(reports))
+    return 0 if len(reports) == len(stems) else 1
 
 
 # ---------------------------------------------------------------- studies

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import fitting
+from . import mask as mask_ops
 from .errors import DegenerateShapeError, EmptyMaskError
 from .mask import (BoundaryTrace, polygon_to_mask, rasterize_polygon,
                    trace_boundary)
@@ -151,7 +152,7 @@ def degree_sweep(masks, degrees=(3, 5, 7, 9)) -> dict:
     """Mean per-arc fit residual for each degree, tracing each mask once."""
     arcs_per_mask = []
     for m in masks:
-        trace = trace_boundary(m)
+        trace = _trace_object(m)
         extremes = fitting.find_extreme_points(trace)
         arcs_per_mask.append(fitting.split_boundary(trace, extremes))
     out = {}
@@ -195,6 +196,8 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     For every mask, noise level and trial, both representations get
     identically distributed Gaussian noise on their defining points; the
     perturbed shape is rasterized and scored against the clean mask.
+    Each mask is traced once, on its largest component, and that trace
+    feeds both the Bezier fit and the polygon baseline.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0 or (deltas < 0).any():
@@ -203,12 +206,12 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     sum_p = np.zeros(len(deltas))
     n_scored = 0
     for i, m in enumerate(masks):
-        contour, _ = fitting.encode_mask(m, degree=5)
-        trace = trace_boundary(m)
+        h, w = m.shape
+        trace = _trace_object(m)
+        contour, _ = fitting.encode_trace(trace, 5, w, h)
         if len(trace) < points:
             continue
         poly20 = polygon_baseline(trace, points)
-        h, w = m.shape
         area = m.sum()
         n_scored += 1
         for di, delta in enumerate(deltas):
@@ -228,6 +231,11 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
         raise DegenerateShapeError("no mask in the corpus was usable")
     denom = n_scored * trials
     return SensitivityCurve(deltas, sum_b / denom, sum_p / denom, trials)
+
+
+def _trace_object(m) -> BoundaryTrace:
+    """Boundary of the mask's largest component, as encode_mask traces it."""
+    return trace_boundary(mask_ops.largest_component(m))
 
 
 def _iou(pred, gt, gt_area):

@@ -35,7 +35,12 @@ class BoundaryTrace:
 
 
 def load_pgm(data: bytes, threshold: int = 127) -> np.ndarray:
-    """Parse a binary (P5) 8-bit PGM; pixels > threshold become foreground."""
+    """Parse a binary (P5) 8-bit PGM into a boolean mask.
+
+    threshold is on the 0-255 scale: a pixel is foreground iff
+    value / maxval > threshold / 255, so a 0/1 label map (maxval 1)
+    loads like a 0/255 one.
+    """
     if not data.startswith(b"P5"):
         raise PgmFormatError("not a binary PGM (missing P5 magic)")
     # Header tokens may be separated by whitespace and '#' comments.
@@ -57,7 +62,9 @@ def load_pgm(data: bytes, threshold: int = 127) -> np.ndarray:
     if len(pixels) < width * height:
         raise PgmFormatError("truncated pixel data")
     grid = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    return grid > threshold
+    # for integer values, value * 255 > threshold * maxval exactly when
+    # value > floor(threshold * maxval / 255)
+    return grid > threshold * maxval // 255
 
 
 def save_pgm(mask: np.ndarray) -> bytes:
@@ -188,7 +195,13 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     """Even-odd scanline fill of a closed polygon into a width x height mask.
 
     A pixel is foreground iff its center lies inside; vertices outside
-    the frame are fine (the fill clips naturally).
+    the frame are fine (the fill clips naturally). Each edge crosses the
+    rows whose center y lies in [ymin, ymax), so a shared vertex is
+    counted once and horizontal edges never. A crossing at x flips the
+    parity of every pixel in its row whose center is >= x: it is marked
+    once in a (height, width + 1) array, and a running XOR along each
+    row turns the marks into the fill. Time is O(H*W + crossings),
+    memory O(H*W) bytes.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 3:
@@ -200,23 +213,28 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     ys = np.arange(height) + 0.5
 
-    ymin = np.minimum(y1, y2)[:, None]
-    ymax = np.maximum(y1, y2)[:, None]
-    crosses = (ymin <= ys) & (ys < ymax)  # half-open: vertex counted once
+    # rows first..last-1 are those with ymin <= ys < ymax (half-open)
+    first = np.searchsorted(ys, np.minimum(y1, y2), side="left")
+    last = np.searchsorted(ys, np.maximum(y1, y2), side="left")
+    edges, rows = _expand(first, last)
     dy = y2 - y1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ys[None, :] - y1[:, None]) / dy[:, None]
-        xs = x1[:, None] + t * (x2 - x1)[:, None]
-    xs = np.where(crosses, xs, np.inf)
+    t = (ys[rows] - y1[edges]) / dy[edges]
+    xs = x1[edges] + t * (x2 - x1)[edges]
+    # first pixel center >= xs; column `width` flips nothing in the frame
+    cols = np.searchsorted(np.arange(width) + 0.5, xs, side="left")
 
-    kmax = int(crosses.sum(axis=0).max(initial=0))
-    if kmax == 0:
-        return np.zeros((height, width), dtype=bool)
-    xs = np.sort(xs, axis=0)[:kmax]  # (kmax, height)
+    flips = np.zeros((height, width + 1), dtype=np.uint8)
+    np.bitwise_xor.at(flips, (rows, cols), 1)
+    flips = np.bitwise_xor.accumulate(flips, axis=1)  # rebinding frees the marks
+    return flips[:, :width].astype(bool)
 
-    centers = np.arange(width) + 0.5
-    counts = (xs[:, :, None] <= centers[None, None, :]).sum(axis=0)
-    return (counts % 2).astype(bool)
+
+def _expand(starts: np.ndarray, stops: np.ndarray):
+    """(owner, value) of every value in each range(starts[i], stops[i])."""
+    counts = stops - starts
+    owner = np.repeat(np.arange(len(counts)), counts)
+    value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    return owner, value
 
 
 def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -225,19 +243,21 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     Decoded contours interpolate the centers of boundary pixels, which
     were foreground in the source mask; a bare center-inside fill would
     systematically lose that half-pixel rim, so outline pixels are
-    foreground too.
+    foreground too. The outline is every vertex plus, on each edge
+    longer than 0.5 px, the n - 1 interior points at fractions k / n
+    (n = ceil(length / 0.5)); each marks the pixel it falls in. Time is
+    O(H*W + crossings + perimeter), memory O(H*W) bytes.
     """
     out = rasterize_polygon(vertices, width, height)
-    vertices = np.asarray(vertices, dtype=float)
-    a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    lengths = np.hypot(*(b - a).T)
-    pts = [a]
-    for e in np.nonzero(lengths > 0.5)[0]:
-        n = int(np.ceil(lengths[e] / 0.5))
-        frac = np.arange(1, n)[:, None] / n
-        pts.append(a[e] + frac * (b[e] - a[e]))
-    pts = np.concatenate(pts)
+    a = np.asarray(vertices, dtype=float)
+    step = np.roll(a, -1, axis=0) - a
+    lengths = np.hypot(*step.T)
+    long_edges = np.nonzero(lengths > 0.5)[0]
+    n = np.ceil(lengths[long_edges] / 0.5).astype(int)
+    edges, k = _expand(np.ones_like(n), n)
+    frac = k / n[edges]
+    e = long_edges[edges]
+    pts = np.concatenate([a, a[e] + frac[:, None] * step[e]])
     cols = np.floor(pts[:, 0]).astype(int)
     rows = np.floor(pts[:, 1]).astype(int)
     keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)

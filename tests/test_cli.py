@@ -103,6 +103,20 @@ class TestDecodeRenderEval:
         assert rows[-1][0] == "__summary__"
         assert float(rows[-1][1]) > 0.9  # summary miou
 
+    def test_eval_skips_unreadable_gt(self, encoded, mask_dir, tmp_path, capsys):
+        gt_dir = tmp_path / "gt"
+        gt_dir.mkdir()
+        for i in range(3):
+            data = (mask_dir / f"blob{i}.pgm").read_bytes()
+            (gt_dir / f"blob{i}.pgm").write_bytes(data[:1000] if i == 1 else data)
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--pred", encoded, "--gt", gt_dir, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "eval failed: blob1: PgmFormatError: truncated pixel data" in err
+        rows = list(csv.reader(open(out)))
+        assert [r[0] for r in rows[1:]] == ["blob0", "blob2", "__summary__"]
+        assert float(rows[-1][1]) > 0.9
+
 
 class TestStudies:
     def test_gen_synthetic_deterministic(self, tmp_path):

@@ -149,10 +149,27 @@ class TestFidelityStudy:
         assert res.skipped == 1 and len(res.ious) == 1
 
 
+def with_speck(m):
+    """m plus a separate 3x3 speck in its top-left corner."""
+    out = m.copy()
+    assert not out[:6, :6].any()
+    out[1:4, 1:4] = True
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_blob():
+    return generate_shape(ShapeSpec("blob", 128, 128, 3, 0.6))
+
+
 class TestDegreeSweep:
     def test_residual_decreases_with_degree(self, blob_masks):
         out = degree_sweep(blob_masks[:4], degrees=(3, 5, 7, 9))
         assert out[3] > out[5] > out[7] > out[9]
+
+    def test_speck_is_dropped(self, small_blob):
+        assert (degree_sweep([with_speck(small_blob)], degrees=(3, 5))
+                == degree_sweep([small_blob], degrees=(3, 5)))
 
 
 class TestSensitivitySweep:
@@ -175,6 +192,16 @@ class TestSensitivitySweep:
         curve = sensitivity_sweep(blob_masks[:4], deltas=[5.0, 10.0],
                                   trials=4, seed=0)
         assert np.all(curve.miou_bezier >= curve.miou_polygon)
+
+    def test_mask_with_speck(self, small_blob):
+        # traced on the largest component, as encode_mask does; scored
+        # against the mask as given, speck included
+        m = with_speck(small_blob)
+        curve = sensitivity_sweep([m], deltas=[0.0, 3.0], trials=2, seed=1)
+        assert curve.miou_bezier[0] == fidelity_study([m]).miou
+        clean = sensitivity_sweep([small_blob], deltas=[0.0, 3.0], trials=2, seed=1)
+        assert np.all(curve.miou_bezier < clean.miou_bezier)
+        assert np.all(curve.miou_polygon < clean.miou_polygon)
 
     def test_bad_deltas_rejected(self, blob_masks):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from beziermask import (DegenerateShapeError, EmptyMaskError, PgmFormatError,
                         boundary_points, largest_component, load_pgm,
-                        morphological_smooth, rasterize_polygon, save_pgm,
-                        trace_boundary)
+                        morphological_smooth, polygon_to_mask,
+                        rasterize_polygon, save_pgm, trace_boundary)
 from beziermask.experiments import ShapeSpec, generate_shape
 
 
@@ -31,6 +34,23 @@ class TestPgm:
         rng = np.random.default_rng(1)
         m = rng.random((13, 7)) > 0.5
         np.testing.assert_array_equal(load_pgm(save_pgm(m)), m)
+
+    def test_maxval_one_label_map(self):
+        grid = np.zeros((4, 4), np.uint8)
+        grid[1:4, 0:3] = 1
+        data = b"P5\n4 4\n1\n" + grid.tobytes()
+        np.testing.assert_array_equal(load_pgm(data), grid == 1)
+
+    def test_maxval_scales_threshold(self):
+        data = b"P5\n3 1\n2\n" + bytes([0, 1, 2])
+        assert load_pgm(data, threshold=127).tolist() == [[False, True, True]]
+        assert load_pgm(data, threshold=128).tolist() == [[False, False, True]]
+
+    @pytest.mark.parametrize("threshold", [0, 1, 127, 200, 254])
+    def test_maxval_255_is_a_plain_threshold(self, threshold):
+        grid = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        np.testing.assert_array_equal(load_pgm(pgm_bytes(grid), threshold),
+                                      grid > threshold)
 
     def test_header_comment(self):
         data = b"P5\n# a comment\n3 2\n255\n" + bytes(6)
@@ -252,3 +272,89 @@ class TestRasterizePolygon:
         inter = np.sum(out & disc_mask)
         union = np.sum(out | disc_mask)
         assert inter / union >= 0.9
+
+
+def outline_pixels(verts, width, height):
+    """Pixels under every vertex and under the 0.5-px sampling of each
+    edge: an edge of length L > 0.5 gets n - 1 interior points at
+    fractions k / n, n = ceil(L / 0.5)."""
+    verts = np.asarray(verts, dtype=float)
+    out = np.zeros((height, width), bool)
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        pts = [a]
+        length = math.hypot(*(b - a))
+        if length > 0.5:
+            n = math.ceil(length / 0.5)
+            pts += [a + (k / n) * (b - a) for k in range(1, n)]
+        for x, y in pts:
+            c, r = math.floor(x), math.floor(y)
+            if 0 <= c < width and 0 <= r < height:
+                out[r, c] = True
+    return out
+
+
+def oracle_fill(verts, width, height):
+    return np.array([[point_in_polygon(c + 0.5, r + 0.5, verts)
+                      for c in range(width)] for r in range(height)])
+
+
+# Half-integer vertices with power-of-two rises put crossings exactly on
+# pixel centers in exact arithmetic, so the half-open rules decide.
+POLYGONS = {
+    "diamond_on_centers": [(4.5, 0.5), (8.5, 4.5), (4.5, 8.5), (0.5, 4.5)],
+    "rectangle_on_centers": [(1.5, 2.5), (7.5, 2.5), (7.5, 6.5), (1.5, 6.5)],
+    "triangle_horizontal_edge": [(1.5, 1.5), (9.5, 1.5), (5.5, 9.5)],
+    "integer_staircase": [(1, 1), (5, 1), (5, 3), (3, 3), (3, 6), (1, 6)],
+    "bow_tie": [(0.5, 0.5), (8.5, 8.5), (8.5, 0.5), (0.5, 8.5)],
+    "pentagram": [(5 + 4.5 * math.sin(4 * math.pi * k / 5),
+                   5 - 4.5 * math.cos(4 * math.pi * k / 5)) for k in range(5)],
+    "off_frame_diamond": [(-3.5, 4.5), (4.5, -3.5), (12.5, 4.5), (4.5, 12.5)],
+    "covers_frame": [(-20.0, -20.0), (40.0, -19.0), (10.0, 45.0)],
+    "outside_frame": [(20.0, 20.0), (30.0, 20.0), (25.0, 30.0)],
+    "degenerate_edges": [(2.0, 2.0), (2.0, 2.0), (2.3, 2.2), (7.0, 2.0), (4.0, 8.0)],
+}
+FRAMES = [(10, 10), (1, 10), (10, 1), (1, 1), (13, 7)]
+
+
+class TestPolygonToMask:
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    def test_matches_oracles(self, name, frame):
+        verts = POLYGONS[name]
+        w, h = frame
+        fill = oracle_fill(verts, w, h)
+        np.testing.assert_array_equal(rasterize_polygon(verts, w, h), fill)
+        got = polygon_to_mask(verts, w, h)
+        assert got.dtype == bool and got.shape == (h, w)
+        np.testing.assert_array_equal(got, fill | outline_pixels(verts, w, h))
+
+    def test_random_polygons_match_oracles(self):
+        rng = np.random.default_rng(9)
+        for w, h in [(16, 16), (1, 24), (24, 1), (9, 30)]:
+            for _ in range(8):
+                verts = rng.uniform(-3, max(w, h) + 3, (rng.integers(3, 10), 2))
+                want = oracle_fill(verts, w, h) | outline_pixels(verts, w, h)
+                np.testing.assert_array_equal(polygon_to_mask(verts, w, h), want)
+
+    def test_decoded_contour_matches_oracles(self, blob_masks):
+        from beziermask.fitting import decode_contour, encode_mask, scale_contour
+        contour, _ = encode_mask(blob_masks[0])
+        poly = decode_contour(scale_contour(contour, 48, 40), 16)
+        want = oracle_fill(poly, 48, 40) | outline_pixels(poly, 48, 40)
+        np.testing.assert_array_equal(polygon_to_mask(poly, 48, 40), want)
+
+    def test_memory_stays_flat(self):
+        # a 1024^2 blob; the frame-sized work arrays are single bytes
+        size = 1024
+        theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        r = 300.0 + 40.0 * np.cos(5 * theta)
+        verts = 512.0 + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        tracemalloc.start()
+        try:
+            out = polygon_to_mask(verts, size, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.sum() > 0.2 * size * size
+        assert peak < 4 * size * size
