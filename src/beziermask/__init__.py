@@ -8,7 +8,7 @@ fidelity, gradients and noise sensitivity.
 from .bezier import (BezierSegment, bernstein_basis, elevate_degree,
                      eval_bernstein, eval_de_casteljau, sample_segment)
 from .decoder import (LossValue, SampleSet, contour_loss, decode_jacobian,
-                      decode_points, sample_parameters, smooth_l1)
+                      decode_points, sample_parameters, sampling_matrix, smooth_l1)
 from .experiments import (FidelityResult, SensitivityCurve, ShapeSpec,
                           blob_corpus, default_corpus, degree_sweep,
                           fidelity_study, generate_shape, perturb_contour,

@@ -55,23 +55,8 @@ def bernstein_basis(degree: int, t: float) -> np.ndarray:
 
     b_{n,i}(t) = binom(n, i) (1-t)^(n-i) t^i. Non-negative, sums to 1.
     """
-    _check_degree(degree)
     _check_t(t)
-    return _basis_row(degree, float(t))
-
-
-def _basis_row(degree, t):
-    # Two power ladders: t^i ascending and (1-t)^(n-i) descending.
-    # Keeps every factor a plain product, stable at t near 0 or 1.
-    s = 1.0 - t
-    tp = np.empty(degree + 1)
-    sp = np.empty(degree + 1)
-    tp[0] = 1.0
-    sp[degree] = 1.0
-    for i in range(1, degree + 1):
-        tp[i] = tp[i - 1] * t
-        sp[degree - i] = sp[degree - i + 1] * s
-    return _BINOM[degree] * sp * tp
+    return basis_matrix(degree, np.array([t]))[0]
 
 
 def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
@@ -80,6 +65,8 @@ def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
         raise ValueError("all parameters must lie in [0, 1]")
+    # Two power ladders: t^i ascending and (1-t)^(n-i) descending.
+    # Keeps every factor a plain product, stable at t near 0 or 1.
     s = 1.0 - ts
     tp = np.ones((ts.size, degree + 1))
     sp = np.ones((ts.size, degree + 1))

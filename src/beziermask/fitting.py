@@ -140,30 +140,19 @@ def fit_arc(arc: np.ndarray, degree: int):
         return BezierSegment(cp), 0.0
 
     p0, pn = arc[0], arc[-1]
+    ts = np.arange(m) / (m - 1.0)
+    B = basis_matrix(degree, ts)
     if m < degree + 1:
         r = np.linspace(0.0, 1.0, degree + 1)[:, None]
         cp = p0 + r * (pn - p0)
         cp[0], cp[-1] = p0, pn
-        seg = BezierSegment(cp)
-        resid = _rms_residual(seg, arc)
-        return seg, resid
-
-    ts = np.arange(m) / (m - 1.0)
-    B = basis_matrix(degree, ts)
-    A = B[:, 1:degree]
-    rhs = arc - np.outer(B[:, 0], p0) - np.outer(B[:, degree], pn)
-    interior, *_ = np.linalg.lstsq(A, rhs, rcond=RCOND)
-    cp = np.vstack([p0, interior, pn])
+    else:
+        rhs = arc - np.outer(B[:, 0], p0) - np.outer(B[:, degree], pn)
+        interior, *_ = np.linalg.lstsq(B[:, 1:degree], rhs, rcond=RCOND)
+        cp = np.vstack([p0, interior, pn])
     seg = BezierSegment(cp)
-    fitted = B @ cp
-    resid = float(np.sqrt(np.mean(np.sum((fitted - arc) ** 2, axis=1))))
+    resid = float(np.sqrt(np.mean(np.sum((B @ cp - arc) ** 2, axis=1))))
     return seg, resid
-
-
-def _rms_residual(seg: BezierSegment, arc: np.ndarray) -> float:
-    ts = np.arange(len(arc)) / max(len(arc) - 1.0, 1.0)
-    fitted = basis_matrix(seg.degree, ts) @ seg.control_points
-    return float(np.sqrt(np.mean(np.sum((fitted - arc) ** 2, axis=1))))
 
 
 def encode_trace(trace: BoundaryTrace, degree: int, width: int, height: int):

@@ -245,21 +245,37 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     systematically lose that half-pixel rim, so outline pixels are
     foreground too. The outline is every vertex plus, on each edge
     longer than 0.5 px, the n - 1 interior points at fractions k / n
-    (n = ceil(length / 0.5)); each marks the pixel it falls in. Time is
-    O(H*W + crossings + perimeter), memory O(H*W) bytes.
+    (n = ceil(length / 0.5)); each marks the pixel it falls in. Only
+    the k whose points can land in the frame are generated: each edge
+    is clipped to the frame widened by one pixel, and one more k is
+    taken on each side, so the work is bounded by the frame and not by
+    the coordinates. Time is O(H*W + crossings + perimeter in the
+    frame), memory O(H*W) bytes.
     """
     out = rasterize_polygon(vertices, width, height)
     a = np.asarray(vertices, dtype=float)
     step = np.roll(a, -1, axis=0) - a
     lengths = np.hypot(*step.T)
-    long_edges = np.nonzero(lengths > 0.5)[0]
-    n = np.ceil(lengths[long_edges] / 0.5).astype(int)
-    edges, k = _expand(np.ones_like(n), n)
+    # k and n must be exact in float64: longer edges get no interior points
+    long_edges = np.nonzero((lengths > 0.5) & (lengths < 2.0 ** 52))[0]
+    n = np.ceil(lengths[long_edges] / 0.5)
+    first, stop = np.ones_like(n), n
+    widened = np.array([width, height]) + 1.0
+    if not np.all((a >= -1.0) & (a <= widened)):
+        # slab clip: a + s * step lies in the widened frame for s in [lo, hi];
+        # fmin/fmax drop the 0/0 of an edge lying on the widened border
+        a0, d = a[long_edges], step[long_edges]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1, s2 = (-1.0 - a0) / d, (widened - a0) / d
+        lo = np.fmax(*np.fmin(s1, s2).T)
+        hi = np.fmin(*np.fmax(s1, s2).T)
+        first = np.clip(np.floor(lo * n) - 1, 1, n)
+        stop = np.clip(np.ceil(hi * n) + 2, first, n)
+    edges, k = _expand(first.astype(int), stop.astype(int))
     frac = k / n[edges]
     e = long_edges[edges]
     pts = np.concatenate([a, a[e] + frac[:, None] * step[e]])
-    cols = np.floor(pts[:, 0]).astype(int)
-    rows = np.floor(pts[:, 1]).astype(int)
-    keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-    out[rows[keep], cols[keep]] = True
+    x, y = pts.T
+    keep = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    out[np.floor(y[keep]).astype(int), np.floor(x[keep]).astype(int)] = True
     return out

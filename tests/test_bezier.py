@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from beziermask import (BezierSegment, bernstein_basis, elevate_degree,
                         eval_bernstein, eval_de_casteljau, sample_segment)
+from beziermask.bezier import MAX_DEGREE, basis_matrix
 
 CUBIC = BezierSegment([[0, 0], [0, 1], [1, 1], [1, 0]])
 
@@ -35,6 +36,15 @@ def test_basis_rejects_bad_args():
         bernstein_basis(3, -0.1)
     with pytest.raises(ValueError):
         bernstein_basis(21, 0.5)
+
+
+def test_basis_is_a_row_of_the_basis_matrix():
+    # one formula serves scalars and batches, bitwise, also at t near 0 and 1
+    ts = np.array([0.0, 1e-300, 0.25, 0.5, 1.0 - 1e-16, 1.0])
+    for degree in range(1, MAX_DEGREE + 1):
+        rows = basis_matrix(degree, ts)
+        for t, row in zip(ts, rows):
+            assert np.array_equal(bernstein_basis(degree, t), row), (degree, t)
 
 
 def test_eval_cubic_midpoint():

@@ -76,6 +76,19 @@ class TestDecodeRenderEval:
                    "--width", "1", "--height", "1") == 0
         assert read_pgm(out).shape == (1, 1)
 
+    def test_decode_far_control_point(self, encoded, tmp_path, capsys):
+        # a finite but huge coordinate: a PGM or a typed error, never numpy's
+        doc = json.loads((encoded / "blob0.json").read_text())
+        doc["segments"][1]["control_points"][2] = [1e300, 5.0]
+        src = tmp_path / "far.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "far.pgm"
+        code = run("decode", src, "--out", out)
+        if code == 0:
+            assert read_pgm(out).shape == (doc["height"], doc["width"])
+        else:
+            assert code == 1 and "error:" in capsys.readouterr().err
+
     def test_decode_double_resolution(self, encoded, mask_dir, tmp_path):
         out = tmp_path / "big.pgm"
         assert run("decode", encoded / "blob0.json", "--out", out,

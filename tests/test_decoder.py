@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beziermask import (LossValue, SampleSet, contour_loss, decode_jacobian,
-                        decode_points, sample_parameters, smooth_l1)
-from beziermask.bezier import sample_segment
+                        decode_points, sample_parameters, sampling_matrix, smooth_l1)
+from beziermask.bezier import basis_matrix, sample_segment
+from beziermask.decoder import _loss_operator
 from beziermask.fitting import flatten, unflatten
 
 
@@ -118,6 +119,60 @@ class TestJacobian:
             assert np.allclose(J[:, col], fd, atol=1e-8)
 
 
+def loop_jacobian(samples):
+    """The (2n, 40) Jacobian built sample by sample, one segment's six
+    control points at a time, in the flatten layout."""
+    n = len(samples.ts)
+    J = np.zeros((2 * n, 40))
+    B = basis_matrix(5, samples.ts)
+    for j in range(n):
+        k = int(samples.segment_ids[j])
+        points = [k, 4 + 4 * k, 5 + 4 * k, 6 + 4 * k, 7 + 4 * k, (k + 1) % 4]
+        for b, p in zip(B[j], points):
+            J[2 * j, 2 * p] += b
+            J[2 * j + 1, 2 * p + 1] += b
+    return J
+
+
+class TestSamplingMatrix:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (12, 4), (72, 0), (500, 3)])
+    def test_jacobian_equals_the_per_sample_loop(self, n, seed):
+        samples = sample_parameters(n, seed)
+        J = decode_jacobian(random_contour(seed), samples)
+        assert J.shape == (2 * n, 40)
+        assert np.array_equal(J, loop_jacobian(samples))
+
+    def test_endpoints_and_junctions(self):
+        samples = SampleSet(ts=np.array([0.0, 1.0, 1.0, 0.0]),
+                            segment_ids=np.array([0, 0, 3, 3]))
+        A = sampling_matrix(samples.ts, samples.segment_ids)
+        assert np.array_equal(A, np.eye(20)[[0, 1, 0, 3]])
+
+    def test_operator_decodes_the_points(self):
+        contour = random_contour(13)
+        samples = sample_parameters(200, seed=6)
+        A = sampling_matrix(samples.ts, samples.segment_ids)
+        np.testing.assert_allclose(A @ flatten(contour).reshape(20, 2),
+                                   decode_points(contour, samples), rtol=0, atol=1e-12)
+
+    def test_cached_operator_is_read_only(self):
+        A = _loss_operator(72, 0)
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 1.0
+        assert _loss_operator(72, 0) is A
+
+    def test_writing_the_jacobian_leaves_the_loss_alone(self):
+        gt = random_contour(14)
+        pred = unflatten(flatten(gt) + 1.5, 256, 256)
+        before = contour_loss(pred, gt, n=72, seed=0)
+        J = decode_jacobian(pred, sample_parameters(72, 0))
+        J[:] = 7.0
+        after = contour_loss(pred, gt, n=72, seed=0)
+        assert after.total == before.total
+        assert np.array_equal(after.gradient, before.gradient)
+
+
 class TestSmoothL1:
     def test_quadratic_region(self):
         loss, grad = smooth_l1(np.array([0.5]), np.array([0.0]))
@@ -159,6 +214,23 @@ class TestContourLoss:
         assert isinstance(lv, LossValue)
         assert lv.total == 0.0 and lv.l_ce == 0.0 and lv.l_matching == 0.0
         assert np.allclose(lv.gradient, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 72, 1000])
+    def test_exactly_zero_at_ground_truth(self, n):
+        gt = random_contour(15)
+        lv = contour_loss(gt, gt, n=n, seed=n)
+        assert lv.total == 0.0 and lv.l_matching == 0.0
+        assert not np.any(lv.gradient)
+
+    def test_seeds_draw_different_samples(self):
+        # the cached operator is keyed by seed as well as n
+        gt = random_contour(16)
+        pred = unflatten(flatten(gt) + np.random.default_rng(3).normal(0, 3, 40), 256, 256)
+        a = contour_loss(pred, gt, n=72, seed=0)
+        b = contour_loss(pred, gt, n=72, seed=1)
+        assert a.l_matching != b.l_matching
+        assert a.l_ce == b.l_ce
+        assert contour_loss(pred, gt, n=72, seed=0).l_matching == a.l_matching
 
     def test_positive_off_ground_truth(self):
         gt = random_contour(8)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,10 @@ POLYGONS = {
     "covers_frame": [(-20.0, -20.0), (40.0, -19.0), (10.0, 45.0)],
     "outside_frame": [(20.0, 20.0), (30.0, 20.0), (25.0, 30.0)],
     "degenerate_edges": [(2.0, 2.0), (2.0, 2.0), (2.3, 2.2), (7.0, 2.0), (4.0, 8.0)],
+    # long edges that cross the frame at shallow angles, and an edge lying
+    # on x = -1, the border of the frame widened by one pixel
+    "far_vertices": [(3.5, 2.5), (4000.3, 5.5), (6.5, -3000.7), (-2500.2, 7.25)],
+    "on_widened_border": [(-1.0, -5.0), (-1.0, 30.0), (4.5, 4.5)],
 }
 FRAMES = [(10, 10), (1, 10), (10, 1), (1, 1), (13, 7)]
 
@@ -358,3 +363,21 @@ class TestPolygonToMask:
             tracemalloc.stop()
         assert out.sum() > 0.2 * size * size
         assert peak < 4 * size * size
+
+    def test_far_vertices_cost_what_the_frame_costs(self):
+        # unclipped, these 1e12-px edges would need 4e12 outline points; in
+        # the frame the outline runs along row 2 and up column 3
+        verts = [(3.5, 2.5), (1e12, 5.5), (6.5, -1e12)]
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = polygon_to_mask(verts, 10, 10)
+                polygon_to_mask(POLYGONS["on_widened_border"], 10, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = oracle_fill(verts, 10, 10)
+        want[2, 3:] = want[:3, 3] = True
+        np.testing.assert_array_equal(got, want)
+        assert peak < 10**5
