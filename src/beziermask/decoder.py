@@ -1,12 +1,10 @@
 """Differentiable decoding of piecewise contours and the training loss.
 
-Decoding is linear: one (n, 20) operator A, `sampling_matrix`, holds in
+Decoding is linear: the (n, 20) operator A of `sampling_matrix` holds in
 row j the degree-5 Bernstein basis of t_j in the columns of its
-segment's six control points. Decoded points are
-A @ flatten(c).reshape(20, 2) and the (2n, 40) Jacobian is
-kron(A, I_2). contour_loss caches A, read-only, per (n, seed), so a
-call costs three small matrix products and an elementwise smooth L1:
-about 0.1 ms at n = 72.
+segment's six control points, and the (2n, 40) Jacobian is kron(A, I_2).
+contour_loss caches its samples, read-only, per (n, seed), and decodes
+and differentiates through that Jacobian: about 0.1 ms at n = 72.
 
 Both loss terms use smooth L1 on coordinates normalized by the frame
 size (x / width, y / height) with beta = 1, and are averaged over
@@ -17,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -63,20 +62,16 @@ def sampling_matrix(ts: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _loss_operator(n: int, seed: int) -> np.ndarray:
+def _loss_samples(n: int, seed: int) -> SampleSet:
     samples = sample_parameters(n, seed)
-    A = sampling_matrix(samples.ts, samples.segment_ids)
-    A.setflags(write=False)
-    return A
+    samples.ts.setflags(write=False)
+    samples.segment_ids.setflags(write=False)
+    return samples
 
 
 def decode_points(contour: PiecewiseContour, samples: SampleSet) -> np.ndarray:
-    """Evaluate each sampled (segment, t) pair; returns (n, 2) points.
-
-    Rows of A @ flatten(contour).reshape(20, 2), each summed over its
-    segment's six points in Bernstein order, not A's column order, so that
-    central differences of the points track the Jacobian as before.
-    """
+    """Evaluate each sampled (segment, t) pair; returns (n, 2) points,
+    each summed over its segment's six control points in Bernstein order."""
     if contour.degree != 5:
         raise ValueError("decoder requires a degree-5 contour")
     points = flatten(contour).reshape(20, 2)[_SEGMENT_POINTS[samples.segment_ids]]
@@ -88,7 +83,10 @@ def decode_jacobian(contour: PiecewiseContour, samples: SampleSet) -> np.ndarray
 
     kron(A, I_2): row 2j (x_j) touches only even columns, row 2j+1 only odd.
     """
-    return np.kron(sampling_matrix(samples.ts, samples.segment_ids), np.eye(2))
+    A = sampling_matrix(samples.ts, samples.segment_ids)
+    J = np.zeros((len(A), 2, 20, 2))
+    J[:, 0, :, 0] = J[:, 1, :, 1] = A
+    return J.reshape(-1, 40)
 
 
 def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0):
@@ -115,21 +113,23 @@ def contour_loss(pred: PiecewiseContour, gt: PiecewiseContour,
                  weight_ce: float = 1.0, weight_matching: float = 1.0) -> LossValue:
     """Combined regression + point-matching loss with its analytic gradient.
 
-    The same (segment, t) set, fixed per (n, seed) for an int seed, is
-    applied to both contours, so the matching term compares corresponding points.
+    The same (segment, t) set, fixed per (n, seed), is applied to both
+    contours, so the matching term compares corresponding points; its
+    gradient is the Jacobian's transpose times the points' gradient.
     """
     if pred.degree != 5 or gt.degree != 5:
         raise ValueError("loss requires degree-5 contours")
     if (pred.width, pred.height) != (gt.width, gt.height):
         raise ValueError("contours must share one frame")
 
-    scale = np.array([1.0 / pred.width, 1.0 / pred.height])
-    fp, fg = flatten(pred).reshape(20, 2), flatten(gt).reshape(20, 2)
-    l_ce, g_ce = smooth_l1(fp * scale, fg * scale, beta)
+    scale = np.tile([1.0 / pred.width, 1.0 / pred.height], 20)
+    fp, fg = flatten(pred) * scale, flatten(gt) * scale
+    l_ce, g_ce = smooth_l1(fp, fg, beta)
 
-    A = _loss_operator(n, seed)
-    l_match, g_match = smooth_l1((A @ fp) * scale, (A @ fg) * scale, beta)
+    # decoding does not mix x and y, so it commutes with the frame scaling
+    J = decode_jacobian(pred, _loss_samples(n, index(seed)))
+    l_match, g_match = smooth_l1(J @ fp, J @ fg, beta)
 
     total = weight_ce * l_ce + weight_matching * l_match
-    grad = weight_ce * (g_ce * scale) + weight_matching * (A.T @ (g_match * scale))
-    return LossValue(float(total), float(l_ce), float(l_match), grad.ravel())
+    grad = (weight_ce * g_ce + weight_matching * (J.T @ g_match)) * scale
+    return LossValue(float(total), float(l_ce), float(l_match), grad)

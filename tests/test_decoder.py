@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from beziermask import (LossValue, SampleSet, contour_loss, decode_jacobian,
                         decode_points, sample_parameters, sampling_matrix, smooth_l1)
 from beziermask.bezier import basis_matrix, sample_segment
-from beziermask.decoder import _loss_operator
+from beziermask.decoder import _loss_samples
 from beziermask.fitting import flatten, unflatten
 
 
@@ -155,12 +155,16 @@ class TestSamplingMatrix:
         np.testing.assert_allclose(A @ flatten(contour).reshape(20, 2),
                                    decode_points(contour, samples), rtol=0, atol=1e-12)
 
-    def test_cached_operator_is_read_only(self):
-        A = _loss_operator(72, 0)
-        assert not A.flags.writeable
-        with pytest.raises(ValueError):
-            A[0, 0] = 1.0
-        assert _loss_operator(72, 0) is A
+    def test_cached_samples_are_read_only(self):
+        samples = _loss_samples(72, 0)
+        for a in (samples.ts, samples.segment_ids):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert _loss_samples(72, 0) is samples
+        ref = sample_parameters(72, 0)
+        assert np.array_equal(samples.ts, ref.ts)
+        assert np.array_equal(samples.segment_ids, ref.segment_ids)
 
     def test_writing_the_jacobian_leaves_the_loss_alone(self):
         gt = random_contour(14)
@@ -210,20 +214,14 @@ class TestSmoothL1:
 class TestContourLoss:
     def test_zero_at_ground_truth(self):
         contour = random_contour(7)
-        lv = contour_loss(contour, contour)
-        assert isinstance(lv, LossValue)
-        assert lv.total == 0.0 and lv.l_ce == 0.0 and lv.l_matching == 0.0
-        assert np.allclose(lv.gradient, 0.0)
-
-    @pytest.mark.parametrize("n", [1, 72, 1000])
-    def test_exactly_zero_at_ground_truth(self, n):
-        gt = random_contour(15)
-        lv = contour_loss(gt, gt, n=n, seed=n)
-        assert lv.total == 0.0 and lv.l_matching == 0.0
-        assert not np.any(lv.gradient)
+        for n in (1, 72, 1000):
+            lv = contour_loss(contour, contour, n=n, seed=n)
+            assert isinstance(lv, LossValue)
+            assert lv.total == 0.0 and lv.l_ce == 0.0 and lv.l_matching == 0.0
+            assert not np.any(lv.gradient)
 
     def test_seeds_draw_different_samples(self):
-        # the cached operator is keyed by seed as well as n
+        # the cached samples are keyed by seed as well as n
         gt = random_contour(16)
         pred = unflatten(flatten(gt) + np.random.default_rng(3).normal(0, 3, 40), 256, 256)
         a = contour_loss(pred, gt, n=72, seed=0)
@@ -231,6 +229,13 @@ class TestContourLoss:
         assert a.l_matching != b.l_matching
         assert a.l_ce == b.l_ce
         assert contour_loss(pred, gt, n=72, seed=0).l_matching == a.l_matching
+
+    @pytest.mark.parametrize("seed", [None, 1.5, np.random.default_rng(0)])
+    def test_seed_must_be_an_int(self, seed):
+        gt = random_contour(16)
+        with pytest.raises(TypeError):
+            contour_loss(gt, gt, seed=seed)
+        contour_loss(gt, gt, seed=np.int64(3))
 
     def test_positive_off_ground_truth(self):
         gt = random_contour(8)
