@@ -22,7 +22,7 @@ from .fitting import (FitReport, PiecewiseContour, contour_from_json,
 from .mask import (BoundaryTrace, boundary_points, largest_component, load_pgm,
                    morphological_smooth, polygon_to_mask,
                    rasterize_polygon, save_pgm,
-                   trace_boundary)
+                   trace_boundary, trace_object)
 from .metrics import (ConfusionCounts, DatasetSummary, MetricsReport,
                       compare_masks, confusion, fp_fn_rates, hausdorff, iou,
                       mcc, summarize, write_metrics_csv)

@@ -247,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.strip().splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+    def common(p):
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("encode", help="fit contours to PGM masks")
     p.add_argument("inputs", nargs="+")

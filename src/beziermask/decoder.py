@@ -30,6 +30,11 @@ class SampleSet:
     ts: np.ndarray           # (n,) parameters in [0, 1]
     segment_ids: np.ndarray  # (n,) ints in {0..3}
 
+    def __post_init__(self):
+        ids = np.asarray(self.segment_ids)
+        if ids.size and not (0 <= ids.min() and ids.max() <= 3):
+            raise ValueError("segment ids must lie in 0..3")
+
 
 @dataclass
 class LossValue:

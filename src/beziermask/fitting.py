@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mask as mask_ops
 from .bezier import BezierSegment, basis_matrix
-from .errors import ContourFormatError, DegenerateShapeError, EmptyMaskError
+from .errors import ContourFormatError, DegenerateShapeError
 from .mask import BoundaryTrace
 
 # Singular values below this fraction of the largest are treated as
@@ -178,23 +178,11 @@ def encode_mask(mask: np.ndarray, degree: int = 5, smooth_radius: int = 0):
     """Full pipeline: mask -> traced boundary -> fitted piecewise contour.
 
     Keeps the largest component, optionally smooths the boundary
-    morphologically, traces it and fits one Bezier arc per quadrant.
-    Returns (PiecewiseContour, FitReport).
+    morphologically, traces it (mask.trace_object) and fits one Bezier
+    arc per quadrant. Returns (PiecewiseContour, FitReport).
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise EmptyMaskError("cannot encode an empty mask")
-    work = mask_ops.largest_component(mask)
-    if smooth_radius > 0:
-        smoothed = mask_ops.morphological_smooth(work, smooth_radius)
-        smoothed = mask_ops.largest_component(smoothed)
-        if smoothed.any():
-            work = smoothed
-    if work.sum() < 4:
-        raise DegenerateShapeError("object smaller than 4 pixels")
-    trace = mask_ops.trace_boundary(work)
-    if len(trace) < 4:
-        raise DegenerateShapeError("boundary shorter than 4 points")
+    trace = mask_ops.trace_object(mask, smooth_radius)
     h, w = mask.shape
     return encode_trace(trace, degree, w, h)
 

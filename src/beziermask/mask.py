@@ -4,6 +4,10 @@ Masks are boolean numpy arrays of shape (height, width), True for
 foreground. Continuous coordinates use the pixel-center convention:
 pixel (row r, col c) sits at (x = c + 0.5, y = r + 0.5), with y growing
 downward. Foreground is 8-connected, background 4-connected.
+
+Labelling, tracing and boundary extraction work on the bounding box of
+the foreground, found by two any() reductions over the frame, so their
+cost follows the object rather than the frame.
 """
 
 from __future__ import annotations
@@ -75,20 +79,47 @@ def save_pgm(mask: np.ndarray) -> bytes:
     return header + (mask.astype(np.uint8) * 255).tobytes()
 
 
-def largest_component(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
-    """Keep only the largest foreground component (first in scan order on ties)."""
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
-    mask = np.asarray(mask, dtype=bool)
-    structure = _STRUCT_8 if connectivity == 8 else _STRUCT_4
-    labels, count = ndimage.label(mask, structure=structure)
-    if count == 0:
-        return np.zeros_like(mask)
+def _bbox(mask: np.ndarray):
+    """(rows, cols) slices of the smallest box holding every foreground
+    pixel, or None for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(mask[r0:r1].any(axis=0))
+    return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def _largest(mask: np.ndarray, structure: np.ndarray):
+    """(box, component) of the largest component, the component as a
+    crop of the box, labelled on that box only; None for an empty mask."""
+    box = _bbox(mask)
+    if box is None:
+        return None
+    labels, count = ndimage.label(mask[box], structure=structure)
+    if count == 1:  # the crop is the component; skips a bincount of the box
+        return box, mask[box]
     sizes = np.bincount(labels.ravel())[1:]
     # labels are assigned in raster order, so argmax ties pick the
     # component whose first pixel comes earliest in scan order
-    keep = int(np.argmax(sizes)) + 1
-    return labels == keep
+    return box, labels == int(np.argmax(sizes)) + 1
+
+
+def largest_component(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
+    """Keep only the largest foreground component (first in scan order on ties).
+
+    Labels the foreground's bounding box only: O(bounding box) time and
+    memory besides the zeroed output frame.
+    """
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
+    mask = np.asarray(mask, dtype=bool)
+    out = np.zeros(mask.shape, dtype=bool)
+    found = _largest(mask, _STRUCT_8 if connectivity == 8 else _STRUCT_4)
+    if found is not None:
+        box, component = found
+        out[box] = component
+    return out
 
 
 def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -127,68 +158,105 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
 
     Starts at the top-left-most foreground pixel. Returned pixel centers
     are unique; spur pixels walked twice are kept at first occurrence.
+    The single-component check labels the bounding box only, so the
+    cost is O(bounding box) plus the walk.
     """
     mask = np.asarray(mask, dtype=bool)
-    rows, cols = np.nonzero(mask)
-    if rows.size == 0:
+    box = _bbox(mask)
+    if box is None:
         raise EmptyMaskError("cannot trace an empty mask")
-    _, ncomp = ndimage.label(mask, structure=_STRUCT_8)
+    crop = mask[box]
+    _, ncomp = ndimage.label(crop, structure=_STRUCT_8)
     if ncomp != 1:
         raise DegenerateShapeError(f"expected one component, found {ncomp}")
+    return _moore_walk(crop, box)
 
-    r0 = int(rows.min())
-    c0 = int(cols[rows == r0].min())
-    if rows.size == 1:
-        return BoundaryTrace(np.array([[c0 + 0.5, r0 + 0.5]]), closed=True)
 
-    h, w = mask.shape
+def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
+    """The boundary encode_mask fits: of the largest component, after an
+    optional morphological smoothing (whose own largest component
+    replaces it unless empty). The component is labelled once and walked
+    without a second labelling. O(bounding box) plus the walk; smoothing
+    works on the whole frame.
 
-    def fg(r, c):
-        return 0 <= r < h and 0 <= c < w and mask[r, c]
+    Raises EmptyMaskError on an empty mask and DegenerateShapeError when
+    the object has fewer than 4 pixels or its boundary fewer than 4 points.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    found = _largest(mask, _STRUCT_8)
+    if found is None:
+        raise EmptyMaskError("cannot encode an empty mask")
+    box, component = found
+    if smooth_radius > 0:
+        work = np.zeros(mask.shape, dtype=bool)
+        work[box] = component
+        smoothed = _largest(morphological_smooth(work, smooth_radius), _STRUCT_8)
+        if smoothed is not None:
+            box, component = smoothed
+    if np.count_nonzero(component) < 4:
+        raise DegenerateShapeError("object smaller than 4 pixels")
+    trace = _moore_walk(component, box)
+    if len(trace) < 4:
+        raise DegenerateShapeError("boundary shorter than 4 points")
+    return trace
 
-    start = (r0, c0)
-    cur, back = start, (r0, c0 - 1)  # west of the raster-first pixel is background
-    pixels = [start]
-    seen_states = {(cur, back)}
-    limit = 16 * rows.size + 16
-    for _ in range(limit):
-        bi = _MOORE.index((back[0] - cur[0], back[1] - cur[1]))
-        nxt = None
-        back_cand = back
+
+def _moore_walk(component: np.ndarray, box) -> BoundaryTrace:
+    """Moore walk around `component`, one 8-connected object given as a
+    crop of the frame to the slices `box`.
+
+    The crop is padded by one background pixel and walked as bytes with
+    flat neighbour offsets; every quantity in the loop is a Python int.
+    The walk is a deterministic map on (pixel, backtrack direction)
+    states and stops at the first repeated state, kept as one bit per
+    direction in a byte per pixel.
+    """
+    w = component.shape[1]
+    stride = w + 2
+    grid = np.pad(component, 1).tobytes()
+    offsets = [dr * stride + dc for dr, dc in _MOORE]
+    # raster-first pixel, i.e. the top-left-most; west of it is background
+    r, c = divmod(int(np.argmax(component)), w)
+    cur = (r + 1) * stride + c + 1
+    back = 0
+    seen = bytearray(len(grid))
+    seen[cur] = 1
+    pixels = [cur]
+    while True:
         for k in range(1, 9):
-            dr, dc = _MOORE[(bi + k) % 8]
-            cand = (cur[0] + dr, cur[1] + dc)
-            if fg(*cand):
-                nxt = cand
+            d = (back + k) & 7
+            if grid[cur + offsets[d]]:
                 break
-            back_cand = cand
-        if nxt is None:  # isolated pixel, handled above; defensive
+        else:
+            break  # an isolated pixel is its own trace
+        cur += offsets[d]
+        # the last background candidate lies in direction d - 1 of the old
+        # pixel, which from the new pixel is direction (d & 6) + 6 (mod 8)
+        back = ((d & 6) + 6) & 7
+        if seen[cur] >> back & 1:
             break
-        cur, back = nxt, back_cand
-        # the walk is a deterministic map on (pixel, backtrack) states, so
-        # the first repeated state closes the loop
-        if (cur, back) in seen_states:
-            break
-        seen_states.add((cur, back))
+        seen[cur] |= 1 << back
         pixels.append(cur)
-
-    seen = set()
-    out = []
-    for p in pixels:
-        if p not in seen:
-            seen.add(p)
-            out.append((p[1] + 0.5, p[0] + 0.5))
-    return BoundaryTrace(np.array(out, dtype=float), closed=True)
+    rows, cols = np.divmod(np.fromiter(dict.fromkeys(pixels), dtype=np.intp), stride)
+    points = np.stack([cols + (box[1].start - 1), rows + (box[0].start - 1)], axis=1) + 0.5
+    return BoundaryTrace(points, closed=True)
 
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:
-    """Centers of foreground pixels with a background 4-neighbor or on the border."""
+    """Centers of foreground pixels with a background 4-neighbor or on the border.
+
+    Computed on the foreground's bounding box: O(bounding box).
+    """
     mask = np.asarray(mask, dtype=bool)
-    padded = np.pad(mask, 1, constant_values=False)
+    box = _bbox(mask)
+    if box is None:
+        return np.empty((0, 2))
+    crop = mask[box]
+    padded = np.pad(crop, 1, constant_values=False)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
-    rows, cols = np.nonzero(mask & ~interior)
-    return np.stack([cols + 0.5, rows + 0.5], axis=1)
+    rows, cols = np.divmod(np.flatnonzero(crop & ~interior), crop.shape[1])
+    return np.stack([cols + box[1].start + 0.5, rows + box[0].start + 0.5], axis=1)
 
 
 def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -198,10 +266,13 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     the frame are fine (the fill clips naturally). Each edge crosses the
     rows whose center y lies in [ymin, ymax), so a shared vertex is
     counted once and horizontal edges never. A crossing at x flips the
-    parity of every pixel in its row whose center is >= x: it is marked
-    once in a (height, width + 1) array, and a running XOR along each
-    row turns the marks into the fill. Time is O(H*W + crossings),
-    memory O(H*W) bytes.
+    parity of every pixel in its row whose center is >= x (column
+    `width` for crossings right of the frame): it is marked once in an
+    array spanning the crossings' rows and columns, and a running XOR
+    along each row turns the marks into the fill. Every row is crossed
+    an even number of times, so the parity outside that box is 0. Time
+    is O(crossings + their bounding box) besides zeroing the output
+    frame, memory O(H*W) bytes.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 3:
@@ -223,10 +294,21 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     # first pixel center >= xs; column `width` flips nothing in the frame
     cols = np.searchsorted(np.arange(width) + 0.5, xs, side="left")
 
-    flips = np.zeros((height, width + 1), dtype=np.uint8)
-    np.bitwise_xor.at(flips, (rows, cols), 1)
+    out = np.zeros((height, width), dtype=bool)
+    if rows.size == 0:
+        return out
+    # outside the crossings' rows and columns the parity is 0, since each
+    # row is crossed an even number of times: run the XOR over that box
+    r0, c0 = int(rows.min()), int(cols.min())
+    flips = np.zeros((int(rows.max()) + 1 - r0, int(cols.max()) + 1 - c0), dtype=np.uint8)
+    np.bitwise_xor.at(flips, (rows - r0, cols - c0), 1)
     flips = np.bitwise_xor.accumulate(flips, axis=1)  # rebinding frees the marks
-    return flips[:, :width].astype(bool)
+    r1, c1 = r0 + flips.shape[0], min(c0 + flips.shape[1], width)
+    out[r0:r1, c0:c1] = flips[:, :c1 - c0]
+    # a NaN vertex can leave a row crossed an odd number of times, whose
+    # parity then stays 1 up to the frame's right edge
+    out[np.flatnonzero(flips[:, -1]) + r0, c1:] = True
+    return out
 
 
 def _expand(starts: np.ndarray, stops: np.ndarray):

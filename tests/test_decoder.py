@@ -44,6 +44,13 @@ class TestSampleParameters:
         with pytest.raises(ValueError):
             sample_parameters(0, seed=0)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_segment_ids_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            SampleSet(ts=[0.5], segment_ids=[bad])
+        with pytest.raises(ValueError):
+            SampleSet(ts=np.full(3, 0.5), segment_ids=np.array([0, 3, bad]))
+
 
 class TestDecodePoints:
     def test_matches_direct_segment_evaluation(self):

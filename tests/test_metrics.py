@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from beziermask import (ConfusionCounts, MetricsReport, compare_masks,
                         confusion, fp_fn_rates, hausdorff, iou, mcc,
                         summarize, write_metrics_csv)
 from beziermask.errors import UndefinedMetricError
+from beziermask.experiments import ShapeSpec, generate_shape
+from beziermask.fitting import decode_contour, encode_mask
+from beziermask.mask import polygon_to_mask
 
 
 def brute_confusion(pred, gt):
@@ -116,6 +120,11 @@ class TestHausdorff:
         with pytest.raises(UndefinedMetricError):
             hausdorff(np.empty((0, 2)), np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            hausdorff(np.array([[bad, 0.0]]), np.zeros((2, 2)))
+
     @given(hnp.arrays(float, (5, 2), elements=st.floats(-50, 50)),
            hnp.arrays(float, (7, 2), elements=st.floats(-50, 50)),
            hnp.arrays(float, (1, 2), elements=st.floats(-5, 5)))
@@ -153,6 +162,22 @@ class TestCompareMasks:
         rep = compare_masks(a, b)
         assert rep.iou == pytest.approx(8 / 24)
         assert rep.hausdorff == pytest.approx(2.0)
+
+    def test_encode_eval_memory_is_linear_in_frame_area(self):
+        # encode -> decode -> raster -> metrics on a 4096^2 blob; an
+        # all-pairs Hausdorff matrix alone would need about 1.8 GB here
+        size = 4096
+        gt = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
+        tracemalloc.start()
+        try:
+            contour, _ = encode_mask(gt)
+            pred = polygon_to_mask(decode_contour(contour, 128), size, size)
+            rep = compare_masks(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.iou > 0.95
+        assert peak < 8 * size * size
 
 
 class TestSummarize:
