@@ -5,9 +5,13 @@ foreground. Continuous coordinates use the pixel-center convention:
 pixel (row r, col c) sits at (x = c + 0.5, y = r + 0.5), with y growing
 downward. Foreground is 8-connected, background 4-connected.
 
-Labelling, tracing and boundary extraction work on the bounding box of
-the foreground, found by two any() reductions over the frame, so their
-cost follows the object rather than the frame.
+Labelling, smoothing, tracing and boundary extraction work on the
+bounding box of the foreground, found by two any() reductions over the
+frame, so their cost follows the object rather than the frame. Polygons
+are filled from runs: the sorted crossings of the pixel-centre rows cut
+the crossings' bounding box into runs of alternating parity, so a fill
+costs O(crossings * log(crossings) + that box) time and the box's bytes
+besides the output frame.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 class BoundaryTrace:
     """Ordered boundary pixel centers of a single object.
 
-    points: (m, 2) array of (x, y); closed traces wrap implicitly.
+    points: (m, 2) array of (x, y); the trace wraps implicitly from the
+    last point back to the first.
     """
 
     points: np.ndarray
-    closed: bool = True
 
     def __len__(self):
         return len(self.points)
@@ -123,20 +127,34 @@ def largest_component(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
 
 
 def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Opening followed by closing with a disc of the given radius."""
+    """Opening followed by closing with a disc of the given radius.
+
+    The result lies within `radius` of the foreground, and the closing's
+    erosion reads up to `radius` beyond that, so the filter runs on the
+    foreground's bounding box widened by 2 * radius and clipped to the
+    frame, and is 0 outside it. O(widened box) time and memory besides
+    the zeroed output frame.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     mask = np.asarray(mask, dtype=bool)
     if radius == 0:
         return mask.copy()
+    out = np.zeros(mask.shape, dtype=bool)
+    box = _bbox(mask)
+    if box is None:
+        return out
+    # slices past the frame's far edges are clipped by numpy
+    box = tuple(slice(max(s.start - 2 * radius, 0), s.stop + 2 * radius) for s in box)
     disc = _disc(radius)
-    # pad so the closing's dilation is not clipped at the frame border;
+    # pad so the closing's dilation is not clipped at the box border;
     # this realizes the unbounded-plane operators, which keeps the
     # open-then-close filter idempotent
-    padded = np.pad(mask, radius)
-    out = ndimage.binary_opening(padded, structure=disc)
-    out = ndimage.binary_closing(out, structure=disc)
-    return out[radius:-radius, radius:-radius]
+    padded = np.pad(mask[box], radius)
+    smoothed = ndimage.binary_opening(padded, structure=disc)
+    smoothed = ndimage.binary_closing(smoothed, structure=disc)
+    out[box] = smoothed[radius:-radius, radius:-radius]
+    return out
 
 
 def _disc(radius: int) -> np.ndarray:
@@ -176,8 +194,7 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     """The boundary encode_mask fits: of the largest component, after an
     optional morphological smoothing (whose own largest component
     replaces it unless empty). The component is labelled once and walked
-    without a second labelling. O(bounding box) plus the walk; smoothing
-    works on the whole frame.
+    without a second labelling. O(bounding box) plus the walk.
 
     Raises EmptyMaskError on an empty mask and DegenerateShapeError when
     the object has fewer than 4 pixels or its boundary fewer than 4 points.
@@ -239,7 +256,7 @@ def _moore_walk(component: np.ndarray, box) -> BoundaryTrace:
         pixels.append(cur)
     rows, cols = np.divmod(np.fromiter(dict.fromkeys(pixels), dtype=np.intp), stride)
     points = np.stack([cols + (box[1].start - 1), rows + (box[0].start - 1)], axis=1) + 0.5
-    return BoundaryTrace(points, closed=True)
+    return BoundaryTrace(points)
 
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:
@@ -263,33 +280,42 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     """Even-odd scanline fill of a closed polygon into a width x height mask.
 
     A pixel is foreground iff its center lies inside; vertices outside
-    the frame are fine (the fill clips naturally). Each edge crosses the
-    rows whose center y lies in [ymin, ymax), so a shared vertex is
-    counted once and horizontal edges never. A crossing at x flips the
-    parity of every pixel in its row whose center is >= x (column
-    `width` for crossings right of the frame): it is marked once in an
-    array spanning the crossings' rows and columns, and a running XOR
-    along each row turns the marks into the fill. Every row is crossed
-    an even number of times, so the parity outside that box is 0. Time
-    is O(crossings + their bounding box) besides zeroing the output
-    frame, memory O(H*W) bytes.
+    the frame are fine (the fill clips naturally). `vertices` must be an
+    (n, 2) array of (x, y) with n >= 3. Each edge crosses the rows whose
+    center y lies in [ymin, ymax), so a shared vertex is counted once and
+    horizontal edges never; a crossing at x flips the parity of every
+    pixel in its row whose center is >= x. The sorted crossings split the
+    crossings' bounding box into runs of alternating parity, written by
+    one np.repeat. Time is O(crossings * log(crossings) + bounding box)
+    besides zeroing the output frame; memory is the box's bytes plus the
+    frame's.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim != 2 or vertices.shape[0] < 3:
+    a, b = _polygon(vertices, width, height)
+    return _fill(a, b, width, height)
+
+
+def _polygon(vertices, width: int, height: int):
+    """(vertices, next vertices) as (n, 2) float arrays, after checking
+    the polygon and the frame."""
+    a = np.asarray(vertices, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"vertices must be an (n, 2) array, not shape {a.shape}")
+    if a.shape[0] < 3:
         raise ValueError("polygon needs at least 3 vertices")
     if width < 1 or height < 1:
         raise ValueError("frame must be at least 1x1")
+    return a, np.concatenate([a[1:], a[:1]])
 
-    x1, y1 = vertices[:, 0], vertices[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+
+def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
+    """The even-odd fill of the polygon with edges a[i] -> b[i]."""
+    x1, y1, x2, y2 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
     ys = np.arange(height) + 0.5
-
     # rows first..last-1 are those with ymin <= ys < ymax (half-open)
     first = np.searchsorted(ys, np.minimum(y1, y2), side="left")
     last = np.searchsorted(ys, np.maximum(y1, y2), side="left")
     edges, rows = _expand(first, last)
-    dy = y2 - y1
-    t = (ys[rows] - y1[edges]) / dy[edges]
+    t = (ys[rows] - y1[edges]) / (y2 - y1)[edges]
     xs = x1[edges] + t * (x2 - x1)[edges]
     # first pixel center >= xs; column `width` flips nothing in the frame
     cols = np.searchsorted(np.arange(width) + 0.5, xs, side="left")
@@ -297,17 +323,27 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     out = np.zeros((height, width), dtype=bool)
     if rows.size == 0:
         return out
-    # outside the crossings' rows and columns the parity is 0, since each
-    # row is crossed an even number of times: run the XOR over that box
+    # outside the crossings' rows and columns the parity is 0: fill that
+    # box in raster order, each crossing a flat position where it flips
     r0, c0 = int(rows.min()), int(cols.min())
-    flips = np.zeros((int(rows.max()) + 1 - r0, int(cols.max()) + 1 - c0), dtype=np.uint8)
-    np.bitwise_xor.at(flips, (rows - r0, cols - c0), 1)
-    flips = np.bitwise_xor.accumulate(flips, axis=1)  # rebinding frees the marks
-    r1, c1 = r0 + flips.shape[0], min(c0 + flips.shape[1], width)
-    out[r0:r1, c0:c1] = flips[:, :c1 - c0]
-    # a NaN vertex can leave a row crossed an odd number of times, whose
-    # parity then stays 1 up to the frame's right edge
-    out[np.flatnonzero(flips[:, -1]) + r0, c1:] = True
+    bh, bw = int(rows.max()) + 1 - r0, int(cols.max()) + 1 - c0
+    rows -= r0
+    marks = rows * bw + (cols - c0)
+    # a NaN vertex can leave a row crossed an odd number of times: one more
+    # mark at its end resets the parity for the next row, and in the frame
+    # that row stays 1 up to the right edge
+    odd = np.flatnonzero(np.bincount(rows, minlength=bh) & 1)
+    if odd.size:
+        marks = np.concatenate([marks, (odd + 1) * bw])
+    marks.sort()
+    bounds = np.empty(marks.size + 2, dtype=marks.dtype)
+    bounds[0], bounds[1:-1], bounds[-1] = 0, marks, bh * bw
+    parity = np.zeros(marks.size + 1, dtype=bool)
+    parity[1::2] = True
+    box = np.repeat(parity, bounds[1:] - bounds[:-1]).reshape(bh, bw)
+    c1 = min(c0 + bw, width)
+    out[r0:r0 + bh, c0:c1] = box[:, :c1 - c0]
+    out[odd + r0, c1:] = True
     return out
 
 
@@ -325,21 +361,23 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     Decoded contours interpolate the centers of boundary pixels, which
     were foreground in the source mask; a bare center-inside fill would
     systematically lose that half-pixel rim, so outline pixels are
-    foreground too. The outline is every vertex plus, on each edge
-    longer than 0.5 px, the n - 1 interior points at fractions k / n
-    (n = ceil(length / 0.5)); each marks the pixel it falls in. Only
-    the k whose points can land in the frame are generated: each edge
-    is clipped to the frame widened by one pixel, and one more k is
+    foreground too. The fill is rasterize_polygon's run-length fill. The
+    outline is every vertex plus, on each edge longer than 0.5 px, the
+    n - 1 interior points at fractions k / n (n = ceil(length / 0.5));
+    each marks the pixel it falls in, stamped through one flat index.
+    Only the k whose points can land in the frame are generated: each
+    edge is clipped to the frame widened by one pixel, and one more k is
     taken on each side, so the work is bounded by the frame and not by
-    the coordinates. Time is O(H*W + crossings + perimeter in the
-    frame), memory O(H*W) bytes.
+    the coordinates. Time is O(crossings * log(crossings) + the
+    crossings' bounding box + perimeter in the frame) besides zeroing
+    the output frame; memory is that box's bytes plus the frame's.
     """
-    out = rasterize_polygon(vertices, width, height)
-    a = np.asarray(vertices, dtype=float)
-    step = np.roll(a, -1, axis=0) - a
-    lengths = np.hypot(*step.T)
+    a, b = _polygon(vertices, width, height)
+    out = _fill(a, b, width, height)
+    step = b - a
+    lengths = np.hypot(step[:, 0], step[:, 1])
     # k and n must be exact in float64: longer edges get no interior points
-    long_edges = np.nonzero((lengths > 0.5) & (lengths < 2.0 ** 52))[0]
+    long_edges = np.flatnonzero((lengths > 0.5) & (lengths < 2.0 ** 52))
     n = np.ceil(lengths[long_edges] / 0.5)
     first, stop = np.ones_like(n), n
     widened = np.array([width, height]) + 1.0
@@ -356,8 +394,9 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     edges, k = _expand(first.astype(int), stop.astype(int))
     frac = k / n[edges]
     e = long_edges[edges]
-    pts = np.concatenate([a, a[e] + frac[:, None] * step[e]])
-    x, y = pts.T
+    x = np.concatenate([a[:, 0], a[e, 0] + frac * step[e, 0]])
+    y = np.concatenate([a[:, 1], a[e, 1] + frac * step[e, 1]])
     keep = (x >= 0) & (x < width) & (y >= 0) & (y < height)
-    out[np.floor(y[keep]).astype(int), np.floor(x[keep]).astype(int)] = True
+    rows, cols = np.floor(y[keep]).astype(np.intp), np.floor(x[keep]).astype(np.intp)
+    out.ravel()[rows * width + cols] = True
     return out

@@ -186,7 +186,6 @@ class TestTraceBoundary:
         tr = trace_boundary(m)
         np.testing.assert_array_equal(
             tr.points, [[1.5, 1.5], [1.5, 2.5], [2.5, 2.5], [2.5, 1.5]])
-        assert tr.closed
 
     def test_single_pixel(self):
         m = np.zeros((3, 3), bool)
@@ -333,6 +332,13 @@ class TestPolygonToMask:
         got = polygon_to_mask(verts, w, h)
         assert got.dtype == bool and got.shape == (h, w)
         np.testing.assert_array_equal(got, fill | outline_pixels(verts, w, h))
+
+    @pytest.mark.parametrize("fn", [rasterize_polygon, polygon_to_mask])
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 1)])
+    def test_vertices_must_be_n_by_2(self, fn, shape):
+        verts = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            fn(verts, 8, 8)
 
     def test_random_polygons_match_oracles(self):
         rng = np.random.default_rng(9)

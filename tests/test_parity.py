@@ -1,9 +1,10 @@
-"""The bounding-box pixel passes and the k-d tree Hausdorff distance
-against the full-frame code they replaced.
+"""The bounding-box pixel passes, the k-d tree Hausdorff distance and
+the run-length polygon fill against the code they replaced.
 
-The oracles below are the earlier full-frame implementations, kept
-verbatim in substance: every output must be equal bit for bit (values,
-dtype and shape), and every error of the same type.
+The oracles below are the earlier implementations (full-frame passes,
+the box-local XOR fill), kept verbatim in substance: every output must
+be equal bit for bit (values, dtype and shape), and every error of the
+same type.
 """
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from beziermask import (BezierMaskError, boundary_points, confusion, hausdorff,
-                        largest_component, morphological_smooth, rasterize_polygon,
+from beziermask import (BezierMaskError, boundary_points, confusion, decode_contour,
+                        encode_mask, hausdorff, largest_component, morphological_smooth,
+                        perturb_contour, polygon_to_mask, rasterize_polygon,
                         trace_boundary, trace_object)
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
 from beziermask.experiments import ShapeSpec, generate_shape
+from beziermask.mask import _disc
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -32,6 +35,20 @@ def full_largest_component(mask, connectivity=8):
         return np.zeros_like(mask)
     sizes = np.bincount(labels.ravel())[1:]
     return labels == int(np.argmax(sizes)) + 1
+
+
+def full_morphological_smooth(mask, radius):
+    """Opening then closing of the whole frame padded by the radius."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    mask = np.asarray(mask, dtype=bool)
+    if radius == 0:
+        return mask.copy()
+    disc = _disc(radius)
+    padded = np.pad(mask, radius)
+    out = ndimage.binary_opening(padded, structure=disc)
+    out = ndimage.binary_closing(out, structure=disc)
+    return out[radius:-radius, radius:-radius]
 
 
 def full_trace_boundary(mask):
@@ -86,7 +103,7 @@ def full_trace_object(mask, smooth_radius=0):
         raise EmptyMaskError("cannot encode an empty mask")
     work = full_largest_component(mask)
     if smooth_radius > 0:
-        smoothed = full_largest_component(morphological_smooth(work, smooth_radius))
+        smoothed = full_largest_component(full_morphological_smooth(work, smooth_radius))
         if smoothed.any():
             work = smoothed
     if work.sum() < 4:
@@ -106,8 +123,8 @@ def full_boundary_points(mask):
     return np.stack([cols + 0.5, rows + 0.5], axis=1)
 
 
-def full_rasterize_polygon(vertices, width, height):
-    """Running XOR of the crossing marks over a (height, width + 1) frame."""
+def _crossings(vertices, width, height):
+    """(rows, cols) of every crossing, as both XOR fills find them."""
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 3:
         raise ValueError("polygon needs at least 3 vertices")
@@ -125,10 +142,64 @@ def full_rasterize_polygon(vertices, width, height):
     t = (ys[rows] - y1[edges]) / dy[edges]
     xs = x1[edges] + t * (x2 - x1)[edges]
     cols = np.searchsorted(np.arange(width) + 0.5, xs, side="left")
+    return rows, cols
+
+
+def full_rasterize_polygon(vertices, width, height):
+    """Running XOR of the crossing marks over a (height, width + 1) frame."""
+    rows, cols = _crossings(vertices, width, height)
     flips = np.zeros((height, width + 1), dtype=np.uint8)
     np.bitwise_xor.at(flips, (rows, cols), 1)
     flips = np.bitwise_xor.accumulate(flips, axis=1)
     return flips[:, :width].astype(bool)
+
+
+def box_xor_rasterize_polygon(vertices, width, height):
+    """Running XOR of the crossing marks over the crossings' box; a row
+    crossed an odd number of times is filled to the frame's right edge."""
+    rows, cols = _crossings(vertices, width, height)
+    out = np.zeros((height, width), dtype=bool)
+    if rows.size == 0:
+        return out
+    r0, c0 = int(rows.min()), int(cols.min())
+    flips = np.zeros((int(rows.max()) + 1 - r0, int(cols.max()) + 1 - c0), dtype=np.uint8)
+    np.bitwise_xor.at(flips, (rows - r0, cols - c0), 1)
+    flips = np.bitwise_xor.accumulate(flips, axis=1)
+    r1, c1 = r0 + flips.shape[0], min(c0 + flips.shape[1], width)
+    out[r0:r1, c0:c1] = flips[:, :c1 - c0]
+    out[np.flatnonzero(flips[:, -1]) + r0, c1:] = True
+    return out
+
+
+def box_xor_polygon_to_mask(vertices, width, height):
+    """The box XOR fill plus the clipped 0.5-px outline sampling."""
+    out = box_xor_rasterize_polygon(vertices, width, height)
+    a = np.asarray(vertices, dtype=float)
+    step = np.roll(a, -1, axis=0) - a
+    lengths = np.hypot(*step.T)
+    long_edges = np.nonzero((lengths > 0.5) & (lengths < 2.0 ** 52))[0]
+    n = np.ceil(lengths[long_edges] / 0.5)
+    first, stop = np.ones_like(n), n
+    widened = np.array([width, height]) + 1.0
+    if not np.all((a >= -1.0) & (a <= widened)):
+        a0, d = a[long_edges], step[long_edges]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1, s2 = (-1.0 - a0) / d, (widened - a0) / d
+        lo = np.fmax(*np.fmin(s1, s2).T)
+        hi = np.fmin(*np.fmax(s1, s2).T)
+        first = np.clip(np.floor(lo * n) - 1, 1, n)
+        stop = np.clip(np.ceil(hi * n) + 2, first, n)
+    first, stop = first.astype(int), stop.astype(int)
+    counts = stop - first
+    edges = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    frac = k / n[edges]
+    e = long_edges[edges]
+    pts = np.concatenate([a, a[e] + frac[:, None] * step[e]])
+    x, y = pts.T
+    keep = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    out[np.floor(y[keep]).astype(int), np.floor(x[keep]).astype(int)] = True
+    return out
 
 
 def full_confusion(pred, gt):
@@ -291,6 +362,96 @@ def test_rasterize_polygon(seed):
         for w, h in ((5, 5), (0, 5), (5, 0)):
             assert_same(outcome(rasterize_polygon, bad, w, h),
                         outcome(full_rasterize_polygon, bad, w, h))
+
+
+def test_morphological_smooth():
+    for i, m in enumerate(MASKS):
+        for radius in (i % 4, 1 + i % 3):
+            assert_same(morphological_smooth(m, radius), full_morphological_smooth(m, radius))
+    assert_same(outcome(morphological_smooth, MASKS[0], -1),
+                outcome(full_morphological_smooth, MASKS[0], -1))
+
+
+def nan_y(polygons, rng):
+    """A NaN y on every third polygon: the NaN vertex's two edges cross no
+    row, which can leave rows crossed an odd number of times."""
+    out = []
+    for i, (verts, w, h) in enumerate(polygons):
+        verts = np.array(verts, dtype=float)
+        if i % 3 == 0:
+            verts[int(rng.integers(len(verts))), 1] = np.nan
+        out.append((verts, w, h))
+    return out
+
+
+def random_polygons():
+    rng = np.random.default_rng(11)
+    polygons = []
+    for i in range(300):
+        w, h = (int(v) for v in rng.integers(2, 40, 2))
+        verts = rng.uniform(-12.0, 52.0, (int(rng.integers(3, 14)), 2))
+        if i % 2:
+            verts = np.round(verts * 2.0) / 2.0    # half-integer: crossings on centres
+        polygons.append((verts, w, h))
+    return nan_y(polygons, rng)
+
+
+def right_of_frame():
+    # vertices up to 6 px either side of the right edge, so the crossings'
+    # box reaches column `width` for some polygons and stops short for others
+    rng = np.random.default_rng(12)
+    polygons = []
+    for i in range(300):
+        w, h = (int(v) for v in rng.integers(1, 30, 2))
+        k = int(rng.integers(3, 10))
+        verts = np.stack([rng.uniform(w - 6.0, w + 6.0, k), rng.uniform(-3.0, h + 3.0, k)], axis=1)
+        if i % 2:
+            verts = np.round(verts * 2.0) / 2.0
+        polygons.append((verts, w, h))
+    return nan_y(polygons, rng)
+
+
+def thin_frames():
+    rng = np.random.default_rng(13)
+    polygons = []
+    for i in range(300):
+        n = int(rng.integers(1, 40))
+        w, h = ((1, n), (n, 1), (1, 1))[i // 3 % 3]    # each with and without NaN
+        verts = rng.uniform(-4.0, n + 4.0, (int(rng.integers(3, 10)), 2))
+        if i % 2:
+            verts = np.round(verts * 2.0) / 2.0
+        polygons.append((verts, w, h))
+    return nan_y(polygons, rng)
+
+
+def decoded(size):
+    """Contours encoded from generated shapes, with noise up to 40 px."""
+    rng = np.random.default_rng(size)
+    polygons = []
+    for i, kind in enumerate(("blob", "ellipse", "dumbbell")):
+        contour, _ = encode_mask(generate_shape(ShapeSpec(kind, size, size, i, 0.6)))
+        for delta in (0.0, 2.0, 10.0, 40.0):
+            poly = decode_contour(perturb_contour(contour, delta, i), 128)
+            polygons.append((poly, size, size))
+    return nan_y(polygons, rng)
+
+
+POLYGON_CASES = {
+    "random_half_integer_off_frame": random_polygons,
+    "right_of_frame": right_of_frame,
+    "thin_frames": thin_frames,
+    "decoded_256": lambda: decoded(256),
+    "decoded_2048": lambda: decoded(2048),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLYGON_CASES))
+def test_run_length_fill(case):
+    for verts, w, h in POLYGON_CASES[case]():
+        assert_same(outcome(rasterize_polygon, verts, w, h),
+                    outcome(box_xor_rasterize_polygon, verts, w, h))
+        assert_same(outcome(polygon_to_mask, verts, w, h),
+                    outcome(box_xor_polygon_to_mask, verts, w, h))
 
 
 def test_hausdorff():
