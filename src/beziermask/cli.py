@@ -96,8 +96,15 @@ def cmd_encode(args) -> int:
 
 # ---------------------------------------------------------------- decode / render
 
+def _read_contour(args) -> fitting.PiecewiseContour:
+    """The contour JSON named on the command line, once --samples is checked."""
+    if args.samples < 2:
+        raise BezierMaskError(f"--samples must be >= 2, got {args.samples}")
+    return fitting.contour_from_json(Path(args.contour).read_text())
+
+
 def cmd_decode(args) -> int:
-    contour = fitting.contour_from_json(Path(args.contour).read_text())
+    contour = _read_contour(args)
     width = args.width or contour.width
     height = args.height or contour.height
     scaled = fitting.scale_contour(contour, width, height)
@@ -108,7 +115,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_render(args) -> int:
-    contour = fitting.contour_from_json(Path(args.contour).read_text())
+    contour = _read_contour(args)
     poly = fitting.decode_contour(contour, args.samples)
     img = np.zeros((contour.height, contour.width), dtype=bool)
     cols = np.clip(np.floor(poly[:, 0]).astype(int), 0, contour.width - 1)

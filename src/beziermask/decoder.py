@@ -20,7 +20,7 @@ from operator import index
 import numpy as np
 
 from .bezier import basis_matrix
-from .fitting import PiecewiseContour, flatten
+from .fitting import _SEGMENT_POINTS, PiecewiseContour, flatten
 
 DEFAULT_NUM_SAMPLES = 72
 
@@ -54,15 +54,19 @@ def sample_parameters(n: int, seed: int) -> SampleSet:
     return SampleSet(ts, ids)
 
 
-# flatten-layout indices of segment k's points: extreme k, 4 interior, extreme k+1
-_SEGMENT_POINTS = np.array([[k, *range(4 + 4 * k, 8 + 4 * k), (k + 1) % 4] for k in range(4)])
-
-
 def sampling_matrix(ts: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
-    """The (n, 20) operator A with decode_points = A @ flatten(c).reshape(20, 2)."""
-    ts = np.asarray(ts, dtype=float)
+    """The (n, 20) operator A with decode_points = A @ flatten(c).reshape(20, 2).
+
+    Raises ValueError for segment ids outside 0..3.
+    """
+    return _operator(SampleSet(ts, segment_ids))
+
+
+def _operator(samples: SampleSet) -> np.ndarray:
+    """sampling_matrix of samples whose ids SampleSet has checked."""
+    ts = np.asarray(samples.ts, dtype=float)
     A = np.zeros((ts.size, 20))
-    A[np.arange(ts.size)[:, None], _SEGMENT_POINTS[segment_ids]] = basis_matrix(5, ts)
+    A[np.arange(ts.size)[:, None], _SEGMENT_POINTS[samples.segment_ids]] = basis_matrix(5, ts)
     return A
 
 
@@ -79,7 +83,7 @@ def decode_points(contour: PiecewiseContour, samples: SampleSet) -> np.ndarray:
     each summed over its segment's six control points in Bernstein order."""
     if contour.degree != 5:
         raise ValueError("decoder requires a degree-5 contour")
-    points = flatten(contour).reshape(20, 2)[_SEGMENT_POINTS[samples.segment_ids]]
+    points = contour.control_points[samples.segment_ids]
     return np.matmul(basis_matrix(5, samples.ts)[:, None, :], points)[:, 0]
 
 
@@ -88,7 +92,7 @@ def decode_jacobian(contour: PiecewiseContour, samples: SampleSet) -> np.ndarray
 
     kron(A, I_2): row 2j (x_j) touches only even columns, row 2j+1 only odd.
     """
-    A = sampling_matrix(samples.ts, samples.segment_ids)
+    A = _operator(samples)
     J = np.zeros((len(A), 2, 20, 2))
     J[:, 0, :, 0] = J[:, 1, :, 1] = A
     return J.reshape(-1, 40)

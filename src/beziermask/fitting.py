@@ -4,12 +4,19 @@ The boundary is split at its four extreme points (top, leftmost,
 bottom, rightmost) into four arcs; each arc is fitted with a fixed-
 endpoint Bezier curve by linear least squares. A degree-5 contour has
 4 extreme points + 16 interior control points = 40 free reals.
+
+A contour is one (4, d+1, 2) array of control points plus its frame;
+`PiecewiseContour.segments` derives BezierSegment views of its rows.
+flatten and unflatten are gathers between that array and the 40-vector,
+and decode_contour is one matmul of a cached basis over the four
+segments.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +28,13 @@ from .mask import BoundaryTrace
 # Singular values below this fraction of the largest are treated as
 # zero when solving the fit system (robust pseudo-inverse for short arcs).
 RCOND = 1e-10
+
+# flatten-layout indices of segment k's points: extreme k, 4 interior, extreme k+1
+_SEGMENT_POINTS = np.array([[k, *range(4 + 4 * k, 8 + 4 * k), (k + 1) % 4] for k in range(4)])
+# rows of control_points.reshape(24, 2) that flatten reads: the start of
+# each segment, then each segment's interior points
+_FLAT_ROWS = np.r_[0:24:6, [6 * k + j for k in range(4) for j in range(1, 5)]]
+_NEXT = np.array([1, 2, 3, 0])
 
 
 @dataclass
@@ -39,30 +53,45 @@ class ExtremePoints:
 class PiecewiseContour:
     """Closed chain of 4 equal-degree segments over a width x height frame.
 
-    Junction k is shared exactly: segments[k] ends where
-    segments[(k+1) % 4] starts, and the four junctions are the extreme
-    points in top -> leftmost -> bottom -> rightmost order.
+    control_points is one (4, d+1, 2) array: row k holds segment k's
+    d+1 (x, y) points. Junction k is shared exactly: segment k ends where
+    segment (k+1) % 4 starts, and the four junctions are the extreme
+    points in top -> leftmost -> bottom -> rightmost order. The shape,
+    d >= 1, finite values, the chained junctions and a frame of at least
+    1 x 1 are checked once, here; `segments` derives BezierSegment views
+    of the rows.
     """
 
-    segments: list
+    control_points: np.ndarray
     width: int
     height: int
 
     def __post_init__(self):
-        if len(self.segments) != 4:
-            raise ContourFormatError("a contour has exactly 4 segments")
-        degs = {s.degree for s in self.segments}
-        if len(degs) != 1:
-            raise ContourFormatError("all segments must share one degree")
-        for k in range(4):
-            a = self.segments[k].control_points[-1]
-            b = self.segments[(k + 1) % 4].control_points[0]
-            if not np.array_equal(a, b):
-                raise ContourFormatError(f"segments {k} and {(k + 1) % 4} are not chained")
+        cp = np.asarray(self.control_points, dtype=float)
+        if cp.ndim != 3 or cp.shape[0] != 4 or cp.shape[2] != 2:
+            raise ContourFormatError(
+                f"a contour is 4 segments of (x, y) points, got shape {cp.shape}")
+        if cp.shape[1] < 2:
+            raise ContourFormatError("segment degree must be >= 1")
+        if not np.isfinite(cp).all():
+            raise ContourFormatError("control points must be finite")
+        chained = cp[:, -1] == cp[_NEXT, 0]
+        if not chained.all():
+            k = int(np.argmin(chained.all(axis=1)))
+            raise ContourFormatError(f"segments {k} and {(k + 1) % 4} are not chained")
+        if self.width < 1 or self.height < 1:
+            raise ContourFormatError(
+                f"frame must be at least 1 x 1, got {self.width} x {self.height}")
+        self.control_points = cp
 
     @property
     def degree(self) -> int:
-        return self.segments[0].degree
+        return self.control_points.shape[1] - 1
+
+    @property
+    def segments(self) -> list:
+        """The four segments as BezierSegments sharing this contour's memory."""
+        return [BezierSegment(cp) for cp in self.control_points]
 
 
 @dataclass
@@ -132,16 +161,24 @@ def fit_arc(arc: np.ndarray, degree: int):
     arc = np.asarray(arc, dtype=float)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    m = len(arc)
-    if m == 0:
+    if len(arc) == 0:
         raise ValueError("arc must contain at least one point")
-    if m == 1:
-        cp = np.repeat(arc, degree + 1, axis=0)
-        return BezierSegment(cp), 0.0
+    cp, resid = _fit(arc, basis_matrix(degree, _arc_params(len(arc))), degree)
+    return BezierSegment(cp), resid
 
+
+def _arc_params(m: int) -> np.ndarray:
+    """t_i = i / (m - 1) for an m-point arc; [0] for a single point."""
+    return np.arange(m) / max(m - 1.0, 1.0)
+
+
+def _fit(arc: np.ndarray, B: np.ndarray, degree: int):
+    """(degree+1, 2) control points and RMS residual of one arc, given
+    the basis rows B of its parameters."""
+    m = len(arc)
+    if m == 1:
+        return np.repeat(arc, degree + 1, axis=0), 0.0
     p0, pn = arc[0], arc[-1]
-    ts = np.arange(m) / (m - 1.0)
-    B = basis_matrix(degree, ts)
     if m < degree + 1:
         r = np.linspace(0.0, 1.0, degree + 1)[:, None]
         cp = p0 + r * (pn - p0)
@@ -150,28 +187,26 @@ def fit_arc(arc: np.ndarray, degree: int):
         rhs = arc - np.outer(B[:, 0], p0) - np.outer(B[:, degree], pn)
         interior, *_ = np.linalg.lstsq(B[:, 1:degree], rhs, rcond=RCOND)
         cp = np.vstack([p0, interior, pn])
-    seg = BezierSegment(cp)
     resid = float(np.sqrt(np.mean(np.sum((B @ cp - arc) ** 2, axis=1))))
-    return seg, resid
+    return cp, resid
 
 
 def encode_trace(trace: BoundaryTrace, degree: int, width: int, height: int):
-    """Fit a closed piecewise contour to an already-traced boundary."""
+    """Fit a closed piecewise contour to an already-traced boundary.
+
+    One basis is evaluated over the four arcs' parameters; each arc
+    keeps its own least-squares solve. Arc k starts and ends on extreme
+    points k and k+1, so the junctions chain by construction.
+    """
     extremes = find_extreme_points(trace)
     arcs = split_boundary(trace, extremes)
-    segments = []
+    lengths = np.array([len(a) for a in arcs])
+    B = basis_matrix(degree, np.concatenate([_arc_params(m) for m in lengths]))
+    cp = np.empty((4, degree + 1, 2))
     residuals = np.zeros(4)
-    for k, arc in enumerate(arcs):
-        seg, resid = fit_arc(arc, degree)
-        cp = seg.control_points.copy()
-        # copy the shared junction coordinates so closure is exact
-        cp[0] = extremes.as_list()[k]
-        cp[-1] = extremes.as_list()[(k + 1) % 4]
-        segments.append(BezierSegment(cp))
-        residuals[k] = resid
-    contour = PiecewiseContour(segments, width, height)
-    report = FitReport(residuals, np.array([len(a) for a in arcs]))
-    return contour, report
+    for k, (arc, rows) in enumerate(zip(arcs, np.split(B, np.cumsum(lengths[:-1])))):
+        cp[k], residuals[k] = _fit(arc, rows, degree)
+    return PiecewiseContour(cp, width, height), FitReport(residuals, lengths)
 
 
 def encode_mask(mask: np.ndarray, degree: int = 5, smooth_radius: int = 0):
@@ -187,19 +222,25 @@ def encode_mask(mask: np.ndarray, degree: int = 5, smooth_radius: int = 0):
     return encode_trace(trace, degree, w, h)
 
 
+@lru_cache(maxsize=32)
+def _decode_basis(degree: int, k: int) -> np.ndarray:
+    """Read-only (k, degree+1) basis at k uniform parameters."""
+    if k < 2:
+        raise ValueError("samples_per_segment must be >= 2")
+    B = basis_matrix(degree, np.linspace(0.0, 1.0, k))
+    B.setflags(write=False)
+    return B
+
+
 def decode_contour(contour: PiecewiseContour, samples_per_segment: int) -> np.ndarray:
     """Sample the contour into a closed polygon of 4*(k-1) vertices.
 
     Each segment is sampled at k uniform parameters; the duplicate
-    junction point between consecutive segments is dropped.
+    junction point between consecutive segments is dropped. One matmul
+    of the cached (k, d+1) basis over all four segments.
     """
-    k = samples_per_segment
-    if k < 2:
-        raise ValueError("samples_per_segment must be >= 2")
-    ts = np.linspace(0.0, 1.0, k)
-    B = basis_matrix(contour.degree, ts)
-    parts = [B @ seg.control_points for seg in contour.segments]
-    return np.concatenate([p[:-1] for p in parts])
+    B = _decode_basis(contour.degree, samples_per_segment)
+    return np.matmul(B, contour.control_points)[:, :-1].reshape(-1, 2)
 
 
 def flatten(contour: PiecewiseContour) -> np.ndarray:
@@ -207,46 +248,30 @@ def flatten(contour: PiecewiseContour) -> np.ndarray:
 
     [top xy, leftmost xy, bottom xy, rightmost xy] followed by the 4
     interior control points of each segment in chain order, x then y.
+    Junction k is read from the start of segment k.
     """
     if contour.degree != 5:
         raise ContourFormatError("flatten requires a degree-5 contour")
-    out = np.empty(40)
-    for k in range(4):
-        out[2 * k:2 * k + 2] = contour.segments[k].control_points[0]
-    for k in range(4):
-        out[8 + 8 * k:16 + 8 * k] = contour.segments[k].control_points[1:5].ravel()
-    return out
+    return contour.control_points.reshape(24, 2)[_FLAT_ROWS].ravel()
 
 
 def unflatten(vec: np.ndarray, width: int, height: int) -> PiecewiseContour:
-    """Inverse of flatten."""
+    """Inverse of flatten: one gather, closed by construction."""
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (40,):
         raise ContourFormatError(f"expected 40 values, got shape {vec.shape}")
-    extremes = vec[:8].reshape(4, 2)
-    segments = []
-    for k in range(4):
-        cp = np.empty((6, 2))
-        cp[0] = extremes[k]
-        cp[1:5] = vec[8 + 8 * k:16 + 8 * k].reshape(4, 2)
-        cp[5] = extremes[(k + 1) % 4]
-        segments.append(BezierSegment(cp))
-    return PiecewiseContour(segments, width, height)
+    return PiecewiseContour(vec.reshape(20, 2)[_SEGMENT_POINTS], width, height)
 
 
 def contour_to_json(contour: PiecewiseContour) -> str:
     """Interchange JSON, version 1. Full double precision is preserved."""
-    doc = {
+    return json.dumps({
         "version": 1,
         "width": contour.width,
         "height": contour.height,
         "degree": contour.degree,
-        "segments": [
-            {"control_points": [[float(x), float(y)] for x, y in seg.control_points]}
-            for seg in contour.segments
-        ],
-    }
-    return json.dumps(doc)
+        "segments": [{"control_points": cp} for cp in contour.control_points.tolist()],
+    })
 
 
 def contour_from_json(text: str) -> PiecewiseContour:
@@ -258,17 +283,13 @@ def contour_from_json(text: str) -> PiecewiseContour:
     try:
         if doc["version"] != 1:
             raise ContourFormatError(f"unsupported version {doc['version']}")
-        segments = [BezierSegment(np.array(s["control_points"], dtype=float))
-                    for s in doc["segments"]]
-        return PiecewiseContour(segments, int(doc["width"]), int(doc["height"]))
+        cp = np.array([s["control_points"] for s in doc["segments"]], dtype=float)
+        return PiecewiseContour(cp, int(doc["width"]), int(doc["height"]))
     except (KeyError, TypeError, ValueError) as e:
         raise ContourFormatError(f"bad contour document: {e}") from e
 
 
 def scale_contour(contour: PiecewiseContour, width: int, height: int) -> PiecewiseContour:
     """Rescale control points to a new frame without refitting."""
-    sx = width / contour.width
-    sy = height / contour.height
-    segments = [BezierSegment(seg.control_points * [sx, sy])
-                for seg in contour.segments]
-    return PiecewiseContour(segments, width, height)
+    scale = [width / contour.width, height / contour.height]
+    return PiecewiseContour(contour.control_points * scale, width, height)

@@ -130,6 +130,41 @@ class TestDecodeRenderEval:
         assert [r[0] for r in rows[1:]] == ["blob0", "blob2", "__summary__"]
         assert float(rows[-1][1]) > 0.9
 
+    @pytest.mark.parametrize("frame", [{"width": 0}, {"height": -3}])
+    def test_zero_size_frame_is_an_error(self, encoded, tmp_path, capsys, frame):
+        doc = json.loads((encoded / "blob0.json").read_text())
+        doc.update(frame)
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        for command in ("decode", "render"):
+            assert run(command, src, "--out", tmp_path / "out.pgm") == 1
+            assert capsys.readouterr().err.startswith("error: frame must be at least 1 x 1")
+        assert not (tmp_path / "out.pgm").exists()
+
+    @pytest.mark.parametrize("frame", [{"width": 0}, {"height": -3}])
+    def test_eval_skips_zero_size_prediction(self, encoded, mask_dir, tmp_path, capsys, frame):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        for i in range(4):
+            doc = json.loads((encoded / f"blob{i}.json").read_text())
+            if i == 1:
+                doc.update(frame)
+            (pred_dir / f"blob{i}.json").write_text(json.dumps(doc))
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--pred", pred_dir, "--gt", mask_dir, "--out", out) == 1
+        assert "eval failed: blob1: ContourFormatError: frame must be" in capsys.readouterr().err
+        rows = list(csv.reader(open(out)))
+        assert [r[0] for r in rows[1:]] == ["blob0", "blob2", "blob3", "__summary__"]
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("decode", "--width", "-5"), ("decode", "--height", "-5"),
+        ("decode", "--samples", "1"), ("render", "--samples", "1")])
+    def test_bad_arguments_are_errors(self, encoded, tmp_path, capsys, command, option, value):
+        out = tmp_path / "out.pgm"
+        assert run(command, encoded / "blob0.json", "--out", out, option, value) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestStudies:
     def test_gen_synthetic_deterministic(self, tmp_path):

@@ -50,6 +50,8 @@ class TestSampleParameters:
             SampleSet(ts=[0.5], segment_ids=[bad])
         with pytest.raises(ValueError):
             SampleSet(ts=np.full(3, 0.5), segment_ids=np.array([0, 3, bad]))
+        with pytest.raises(ValueError):
+            sampling_matrix(np.full(3, 0.5), np.array([0, 3, bad]))
 
 
 class TestDecodePoints:

@@ -253,6 +253,14 @@ class TestFlatten:
         top = contour.segments[0].control_points[0]
         assert vec[0] == top[0] and vec[1] == top[1]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        for i in (0, 9):    # a junction, an interior point
+            vec = np.arange(40.0)
+            vec[i] = bad
+            with pytest.raises(ContourFormatError):
+                unflatten(vec, 64, 64)
+
     def test_degree_mismatch(self, disc_mask):
         contour, _ = encode_mask(disc_mask, degree=3)
         with pytest.raises(ContourFormatError):

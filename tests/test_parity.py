@@ -1,22 +1,31 @@
-"""The bounding-box pixel passes, the k-d tree Hausdorff distance and
-the run-length polygon fill against the code they replaced.
+"""The bounding-box pixel passes, the k-d tree Hausdorff distance, the
+run-length polygon fill and the array contour codec against the code
+they replaced.
 
 The oracles below are the earlier implementations (full-frame passes,
-the box-local XOR fill), kept verbatim in substance: every output must
-be equal bit for bit (values, dtype and shape), and every error of the
-same type.
+the box-local XOR fill, contours as lists of BezierSegments), kept
+verbatim in substance: every output must be equal bit for bit (values,
+dtype and shape), and every error of the same type.
 """
+
+import json
+import sys
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from beziermask import (BezierMaskError, boundary_points, confusion, decode_contour,
-                        encode_mask, hausdorff, largest_component, morphological_smooth,
-                        perturb_contour, polygon_to_mask, rasterize_polygon,
-                        trace_boundary, trace_object)
+from beziermask import (BezierMaskError, BezierSegment, ContourFormatError, boundary_points, confusion, contour_from_json, contour_to_json,
+                        decode_contour, decode_points, encode_mask, find_extreme_points,
+                        fit_arc, flatten, hausdorff, largest_component, morphological_smooth,
+                        perturb_contour, polygon_to_mask, rasterize_polygon, sample_parameters,
+                        scale_contour, split_boundary, trace_boundary, trace_object, unflatten)
+from beziermask.bezier import basis_matrix
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
+from beziermask.fitting import RCOND, encode_trace
 from beziermask.experiments import ShapeSpec, generate_shape
 from beziermask.mask import _disc
 
@@ -218,6 +227,150 @@ def cdist_hausdorff(a, b):
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
     d = cdist(a, b)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+# ---------------------------------------------------------------- contour oracles
+
+@dataclass
+class SegmentContour:
+    """A contour as a list of 4 BezierSegments, validated segment by segment."""
+
+    segments: list
+    width: int
+    height: int
+
+    def __post_init__(self):
+        if len(self.segments) != 4:
+            raise ContourFormatError("a contour has exactly 4 segments")
+        if len({s.degree for s in self.segments}) != 1:
+            raise ContourFormatError("all segments must share one degree")
+        for k in range(4):
+            a = self.segments[k].control_points[-1]
+            b = self.segments[(k + 1) % 4].control_points[0]
+            if not np.array_equal(a, b):
+                raise ContourFormatError(f"segments {k} and {(k + 1) % 4} are not chained")
+
+    @property
+    def degree(self):
+        return self.segments[0].degree
+
+
+def list_fit_arc(arc, degree):
+    arc = np.asarray(arc, dtype=float)
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    m = len(arc)
+    if m == 0:
+        raise ValueError("arc must contain at least one point")
+    if m == 1:
+        return BezierSegment(np.repeat(arc, degree + 1, axis=0)), 0.0
+    p0, pn = arc[0], arc[-1]
+    ts = np.arange(m) / (m - 1.0)
+    B = basis_matrix(degree, ts)
+    if m < degree + 1:
+        r = np.linspace(0.0, 1.0, degree + 1)[:, None]
+        cp = p0 + r * (pn - p0)
+        cp[0], cp[-1] = p0, pn
+    else:
+        rhs = arc - np.outer(B[:, 0], p0) - np.outer(B[:, degree], pn)
+        interior, *_ = np.linalg.lstsq(B[:, 1:degree], rhs, rcond=RCOND)
+        cp = np.vstack([p0, interior, pn])
+    resid = float(np.sqrt(np.mean(np.sum((B @ cp - arc) ** 2, axis=1))))
+    return BezierSegment(cp), resid
+
+
+def list_encode_trace(trace, degree, width, height):
+    """(contour, residuals, arc lengths) from four separate fits."""
+    extremes = find_extreme_points(trace)
+    arcs = split_boundary(trace, extremes)
+    segments, residuals = [], np.zeros(4)
+    for k, arc in enumerate(arcs):
+        seg, residuals[k] = list_fit_arc(arc, degree)
+        cp = seg.control_points.copy()
+        cp[0] = extremes.as_list()[k]
+        cp[-1] = extremes.as_list()[(k + 1) % 4]
+        segments.append(BezierSegment(cp))
+    return (SegmentContour(segments, width, height), residuals,
+            np.array([len(a) for a in arcs]))
+
+
+def list_decode_contour(contour, k):
+    if k < 2:
+        raise ValueError("samples_per_segment must be >= 2")
+    B = basis_matrix(contour.degree, np.linspace(0.0, 1.0, k))
+    return np.concatenate([(B @ seg.control_points)[:-1] for seg in contour.segments])
+
+
+def list_flatten(contour):
+    if contour.degree != 5:
+        raise ContourFormatError("flatten requires a degree-5 contour")
+    out = np.empty(40)
+    for k in range(4):
+        out[2 * k:2 * k + 2] = contour.segments[k].control_points[0]
+    for k in range(4):
+        out[8 + 8 * k:16 + 8 * k] = contour.segments[k].control_points[1:5].ravel()
+    return out
+
+
+def list_unflatten(vec, width, height):
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (40,):
+        raise ContourFormatError(f"expected 40 values, got shape {vec.shape}")
+    extremes = vec[:8].reshape(4, 2)
+    segments = []
+    for k in range(4):
+        cp = np.empty((6, 2))
+        cp[0] = extremes[k]
+        cp[1:5] = vec[8 + 8 * k:16 + 8 * k].reshape(4, 2)
+        cp[5] = extremes[(k + 1) % 4]
+        segments.append(BezierSegment(cp))
+    return SegmentContour(segments, width, height)
+
+
+def list_perturb_contour(contour, delta, seed):
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    rng = np.random.default_rng(seed)
+    vec = list_flatten(contour) + rng.normal(0.0, delta, 40)
+    return list_unflatten(vec, contour.width, contour.height)
+
+
+def list_scale_contour(contour, width, height):
+    sx = width / contour.width
+    sy = height / contour.height
+    return SegmentContour([BezierSegment(s.control_points * [sx, sy]) for s in contour.segments],
+                          width, height)
+
+
+def list_contour_to_json(contour):
+    return json.dumps({
+        "version": 1, "width": contour.width, "height": contour.height,
+        "degree": contour.degree,
+        "segments": [{"control_points": [[float(x), float(y)] for x, y in s.control_points]}
+                     for s in contour.segments],
+    })
+
+
+def list_contour_from_json(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ContourFormatError(f"invalid JSON: {e}") from e
+    try:
+        if doc["version"] != 1:
+            raise ContourFormatError(f"unsupported version {doc['version']}")
+        segments = [BezierSegment(np.array(s["control_points"], dtype=float))
+                    for s in doc["segments"]]
+        return SegmentContour(segments, int(doc["width"]), int(doc["height"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ContourFormatError(f"bad contour document: {e}") from e
+
+
+def list_decode_points(contour, samples):
+    """Points gathered from the 40-vector, summed in Bernstein order."""
+    rows = np.array([[k, *range(4 + 4 * k, 8 + 4 * k), (k + 1) % 4] for k in range(4)])
+    points = list_flatten(contour).reshape(20, 2)[rows[samples.segment_ids]]
+    return np.matmul(basis_matrix(5, samples.ts)[:, None, :], points)[:, 0]
 
 
 # ---------------------------------------------------------------- comparison
@@ -465,3 +618,149 @@ def test_hausdorff():
         assert_same(hausdorff(a, b), cdist_hausdorff(a, b))
     for a, b in ((np.empty((0, 2)), np.zeros((1, 2))), (np.zeros((1, 2)), np.empty((0, 2)))):
         assert_same(outcome(hausdorff, a, b), outcome(cdist_hausdorff, a, b))
+
+
+# ---------------------------------------------------------------- contour codec
+
+def assert_same_contour(got, want):
+    """The array contour holds the list contour's points, bit for bit."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert (got.width, got.height) == (want.width, want.height)
+    expected = np.stack([s.control_points for s in want.segments])
+    cp = got.control_points
+    assert (cp.dtype, cp.shape) == (expected.dtype, expected.shape)
+    assert cp.tobytes() == expected.tobytes()
+    assert contour_to_json(got) == list_contour_to_json(want)
+
+
+def bench_encode_corpus():
+    """The masks of the benchmark's encode-256 workload at seed 1, with specks."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from spans import NullTracer
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return [m for _, m in WORKLOADS["encode-256"].make_inputs(1, NullTracer())]
+
+
+ENCODE_CASES = {
+    "oracle_masks": lambda: [(m, d) for m in MASKS for d in (1, 3, 5, 9)],
+    "encode_256": lambda: [(m, 5) for m in bench_encode_corpus()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODE_CASES))
+def test_encode_trace(case):
+    """Contours, residuals and arc lengths, and every arc's fit_arc."""
+    encoded = 0
+    for m, degree in ENCODE_CASES[case]():
+        trace = outcome(trace_object, m)
+        if isinstance(trace, type):
+            continue
+        h, w = m.shape
+        got = outcome(encode_trace, trace, degree, w, h)
+        want = outcome(list_encode_trace, trace, degree, w, h)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        encoded += 1
+        contour, report = got
+        assert_same_contour(contour, want[0])
+        assert_same(report.residuals, want[1])
+        assert_same(report.arc_lengths, want[2])
+        for arc in split_boundary(trace, find_extreme_points(trace)):
+            seg, resid = fit_arc(arc, degree)
+            want_seg, want_resid = list_fit_arc(arc, degree)
+            assert seg.control_points.tobytes() == want_seg.control_points.tobytes()
+            assert_same(resid, want_resid)
+    assert encoded > 30
+
+
+def codec_contours():
+    """(array contour, list contour) pairs: random 40-vectors, including
+    points far outside the frame, and encoded masks of several degrees."""
+    rng = np.random.default_rng(31)
+    pairs = []
+    for i in range(300):
+        vec = rng.uniform(-50.0, 300.0, 40) * (1e6 if i % 50 == 0 else 1.0)
+        w, h = (int(v) for v in rng.integers(1, 400, 2))
+        pairs.append((unflatten(vec, w, h), list_unflatten(vec, w, h)))
+    for i, m in enumerate(MASKS[::8]):
+        trace = outcome(trace_object, m)
+        if not isinstance(trace, type):
+            h, w = m.shape
+            degree = (1, 3, 5, 9)[i % 4]
+            pairs.append((encode_trace(trace, degree, w, h)[0],
+                          list_encode_trace(trace, degree, w, h)[0]))
+    return pairs
+
+
+def test_vector_codec():
+    """flatten, unflatten, decode_contour, decode_points, perturb_contour,
+    scale_contour and the JSON codec on the same contours."""
+    samples = sample_parameters(72, 0)
+    for i, (got, want) in enumerate(codec_contours()):
+        assert_same_contour(got, want)
+        for k in (2, 5, 128, 500):
+            assert_same(outcome(decode_contour, got, k), outcome(list_decode_contour, want, k))
+        for size in ((1, 1), (2 * got.width, 3), (777, 2048)):
+            assert_same_contour(scale_contour(got, *size), list_scale_contour(want, *size))
+        text = contour_to_json(got)
+        assert_same_contour(contour_from_json(text), list_contour_from_json(text))
+        vec = outcome(flatten, got)
+        assert_same(vec, outcome(list_flatten, want))
+        if isinstance(vec, type):
+            continue
+        assert_same_contour(unflatten(vec, got.width, got.height), want)
+        assert_same(decode_points(got, samples), list_decode_points(want, samples))
+        for delta in (0.0, 2.0, 40.0):
+            assert_same_contour(perturb_contour(got, delta, i), list_perturb_contour(want, delta, i))
+
+
+def malformed(doc, edit):
+    doc = json.loads(doc)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def set_point(doc, segment, index, xy):
+    doc["segments"][segment]["control_points"][index] = xy
+
+
+MALFORMED = {
+    "three_segments": lambda d: d["segments"].pop(),
+    "five_segments": lambda d: d["segments"].append(d["segments"][0]),
+    "mixed_degrees": lambda d: d["segments"][2]["control_points"].insert(2, [1.0, 2.0]),
+    "degree_zero": lambda d: [s.update(control_points=s["control_points"][:1]) for s in d["segments"]],
+    "three_coordinates": lambda d: [p.append(0.0) for s in d["segments"] for p in s["control_points"]],
+    "unchained_junction": lambda d: set_point(d, 1, -1, [0.25, 0.5]),
+    "nan_interior": lambda d: set_point(d, 0, 2, [float("nan"), 1.0]),
+    "infinite_junction": lambda d: [set_point(d, 0, -1, [float("inf"), 1.0]),
+                                    set_point(d, 1, 0, [float("inf"), 1.0])],
+    "missing_width": lambda d: d.pop("width"),
+    "segments_not_a_list": lambda d: d.update(segments=5),
+    "version_2": lambda d: d.update(version=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents(name):
+    text = malformed(contour_to_json(unflatten(np.arange(40.0), 64, 48)), MALFORMED[name])
+    got = outcome(contour_from_json, text)
+    assert got is ContourFormatError
+    assert got is outcome(list_contour_from_json, text)
+
+
+@pytest.mark.parametrize("frame", [(0, 48), (64, 0), (64, -3), (-5, -5)])
+def test_zero_size_frame_is_rejected(frame):
+    """The list contour loaded these; decoding or scaling them then divided
+    by zero or allocated a negative shape."""
+    good = contour_to_json(unflatten(np.arange(40.0), 64, 48))
+    text = malformed(good, lambda d: d.update(width=frame[0], height=frame[1]))
+    assert not isinstance(outcome(list_contour_from_json, text), type)
+    assert outcome(contour_from_json, text) is ContourFormatError
+    assert outcome(unflatten, np.arange(40.0), *frame) is ContourFormatError
+    assert outcome(scale_contour, contour_from_json(good), *frame) is ContourFormatError
