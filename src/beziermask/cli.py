@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BezierMaskError as e:
+    except (BezierMaskError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

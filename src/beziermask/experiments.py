@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import fitting, metrics
 from . import mask as mask_ops
@@ -66,10 +65,8 @@ def generate_shape(spec: ShapeSpec) -> np.ndarray:
         out = np.zeros((spec.height, spec.width), dtype=bool)
         for poly in poly_sets:
             out |= rasterize_polygon(poly, spec.width, spec.height)
-        if out.any():
-            _, ncomp = ndimage.label(out, structure=np.ones((3, 3)))
-            if ncomp == 1:
-                return out
+        if mask_ops._component_count(out) == 1:
+            return out
     raise DegenerateShapeError(f"could not generate a valid {spec.kind} mask")
 
 

@@ -7,11 +7,15 @@ downward. Foreground is 8-connected, background 4-connected.
 
 Labelling, smoothing, tracing and boundary extraction work on the
 bounding box of the foreground, found by two any() reductions over the
-frame, so their cost follows the object rather than the frame. Polygons
-are filled from runs: the sorted crossings of the pixel-centre rows cut
-the crossings' bounding box into runs of alternating parity, so a fill
-costs O(crossings * log(crossings) + that box) time and the box's bytes
-besides the output frame.
+frame, so their cost follows the object rather than the frame.
+Components are labelled from row runs: one pass over the box, padded by
+a background pixel on every side, finds each run, and runs in adjacent
+rows are joined by searchsorted and connected_components in
+O(runs * log(runs)). The Moore walk reads that same padded grid.
+Polygons are filled from runs too: the sorted crossings of the
+pixel-centre rows cut the crossings' bounding box into runs of
+alternating parity, so a fill costs O(crossings * log(crossings) + that
+box) time and the box's bytes besides the output frame.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateShapeError, EmptyMaskError, PgmFormatError
-
-_STRUCT_8 = np.ones((3, 3), dtype=bool)
-_STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass
@@ -94,35 +97,92 @@ def _bbox(mask: np.ndarray):
     return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-def _largest(mask: np.ndarray, structure: np.ndarray):
-    """(box, component) of the largest component, the component as a
-    crop of the box, labelled on that box only; None for an empty mask."""
+def _runs(mask: np.ndarray):
+    """(box, grid, starts, stops) of the foreground, or None for an empty
+    mask. grid is the crop of the bounding box `box` padded by one
+    background pixel on every side, and [starts[i], stops[i]) is the
+    extent of its i-th run of foreground pixels in the flat grid, in
+    raster order. The padding columns end every run in its own row."""
     box = _bbox(mask)
     if box is None:
         return None
-    labels, count = ndimage.label(mask[box], structure=structure)
-    if count == 1:  # the crop is the component; skips a bincount of the box
-        return box, mask[box]
-    sizes = np.bincount(labels.ravel())[1:]
-    # labels are assigned in raster order, so argmax ties pick the
-    # component whose first pixel comes earliest in scan order
-    return box, labels == int(np.argmax(sizes)) + 1
+    grid = np.zeros((box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2), dtype=bool)
+    grid[1:-1, 1:-1] = mask[box]
+    flat = grid.ravel()
+    # the grid starts and ends with background, so changes pair up
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    return box, grid, edges[0::2], edges[1::2]
+
+
+def _label(starts: np.ndarray, stops: np.ndarray, stride: int, reach: int):
+    """(count, labels) of the components of the runs of a grid with rows
+    of `stride` pixels; labels[i] is the component of run i.
+
+    Runs in adjacent rows touch when their columns overlap after widening
+    each by `reach`: 1 for 8-connectivity, 0 for 4-connectivity. The runs
+    of the next row that touch run i form the range lo[i]:hi[i], and
+    those ranges are the rows of the graph's sparse adjacency matrix.
+    """
+    lo = np.searchsorted(stops, starts + (stride - reach), side="right")
+    hi = np.searchsorted(starts, stops + (stride + reach), side="left")
+    _, neighbours = _expand(lo, hi)
+    n = len(starts)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(hi - lo, out=indptr[1:])
+    graph = csr_matrix((np.ones(neighbours.size), neighbours.astype(np.int32), indptr),
+                       shape=(n, n))
+    # directed edges with weak connection are the undirected components
+    return connected_components(graph, directed=True, connection="weak")
+
+
+def _component_count(mask: np.ndarray) -> int:
+    """Number of 8-connected foreground components."""
+    found = _runs(mask)
+    if found is None:
+        return 0
+    _, grid, starts, stops = found
+    return _label(starts, stops, grid.shape[1], 1)[0]
+
+
+def _largest(mask: np.ndarray, reach: int):
+    """(box, grid, start, size) of the largest component, or None for an
+    empty mask: grid is the padded bounding-box grid of _runs holding
+    that component only, start the flat grid index of its first pixel
+    in scan order and size its pixel count."""
+    found = _runs(mask)
+    if found is None:
+        return None
+    box, grid, starts, stops = found
+    lengths = stops - starts
+    count, labels = _label(starts, stops, grid.shape[1], reach)
+    if count == 1:  # the grid is the component
+        return box, grid, int(starts[0]), int(lengths.sum())
+    sizes = np.bincount(labels, weights=lengths)
+    # the largest component; of equal sizes, the one whose first pixel
+    # comes first in scan order, i.e. whose first run comes first
+    _, first = np.unique(labels, return_index=True)
+    tied = np.flatnonzero(sizes == sizes.max())
+    keep = labels == tied[np.argmin(first[tied])]
+    marks = np.stack([starts[keep], stops[keep]], axis=1).ravel()
+    grid = _alternating(marks, grid.size).reshape(grid.shape)
+    return box, grid, int(marks[0]), int(lengths[keep].sum())
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
     """Keep only the largest foreground component (first in scan order on ties).
 
-    Labels the foreground's bounding box only: O(bounding box) time and
-    memory besides the zeroed output frame.
+    Labels the row runs of the foreground's bounding box: one pass over
+    the box plus O(runs * log(runs)) time, and the box's bytes besides
+    the zeroed output frame.
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     mask = np.asarray(mask, dtype=bool)
     out = np.zeros(mask.shape, dtype=bool)
-    found = _largest(mask, _STRUCT_8 if connectivity == 8 else _STRUCT_4)
+    found = _largest(mask, 1 if connectivity == 8 else 0)
     if found is not None:
-        box, component = found
-        out[box] = component
+        box, grid = found[:2]
+        out[box] = grid[1:-1, 1:-1]
     return out
 
 
@@ -176,73 +236,71 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
 
     Starts at the top-left-most foreground pixel. Returned pixel centers
     are unique; spur pixels walked twice are kept at first occurrence.
-    The single-component check labels the bounding box only, so the
-    cost is O(bounding box) plus the walk.
+    The single-component check labels the row runs of the padded
+    bounding box, one pass over the box plus O(runs * log(runs)), and
+    the walk reads that same grid.
     """
     mask = np.asarray(mask, dtype=bool)
-    box = _bbox(mask)
-    if box is None:
+    found = _runs(mask)
+    if found is None:
         raise EmptyMaskError("cannot trace an empty mask")
-    crop = mask[box]
-    _, ncomp = ndimage.label(crop, structure=_STRUCT_8)
+    box, grid, starts, stops = found
+    ncomp = _label(starts, stops, grid.shape[1], 1)[0]
     if ncomp != 1:
         raise DegenerateShapeError(f"expected one component, found {ncomp}")
-    return _moore_walk(crop, box)
+    return _moore_walk(grid, int(starts[0]), box)
 
 
 def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     """The boundary encode_mask fits: of the largest component, after an
     optional morphological smoothing (whose own largest component
-    replaces it unless empty). The component is labelled once and walked
-    without a second labelling. O(bounding box) plus the walk.
+    replaces it unless empty). The component is labelled once from the
+    row runs of the padded bounding box, one pass over the box plus
+    O(runs * log(runs)), and walked on that grid.
 
     Raises EmptyMaskError on an empty mask and DegenerateShapeError when
     the object has fewer than 4 pixels or its boundary fewer than 4 points.
     """
     mask = np.asarray(mask, dtype=bool)
-    found = _largest(mask, _STRUCT_8)
+    found = _largest(mask, 1)
     if found is None:
         raise EmptyMaskError("cannot encode an empty mask")
-    box, component = found
     if smooth_radius > 0:
+        box, grid = found[:2]
         work = np.zeros(mask.shape, dtype=bool)
-        work[box] = component
-        smoothed = _largest(morphological_smooth(work, smooth_radius), _STRUCT_8)
-        if smoothed is not None:
-            box, component = smoothed
-    if np.count_nonzero(component) < 4:
+        work[box] = grid[1:-1, 1:-1]
+        found = _largest(morphological_smooth(work, smooth_radius), 1) or found
+    box, grid, start, size = found
+    if size < 4:
         raise DegenerateShapeError("object smaller than 4 pixels")
-    trace = _moore_walk(component, box)
+    trace = _moore_walk(grid, start, box)
     if len(trace) < 4:
         raise DegenerateShapeError("boundary shorter than 4 points")
     return trace
 
 
-def _moore_walk(component: np.ndarray, box) -> BoundaryTrace:
-    """Moore walk around `component`, one 8-connected object given as a
-    crop of the frame to the slices `box`.
+def _moore_walk(grid: np.ndarray, start: int, box) -> BoundaryTrace:
+    """Moore walk around the one 8-connected object in `grid`, the crop
+    of the frame to the slices `box` padded by one background pixel,
+    from its first pixel in scan order, at flat index `start`.
 
-    The crop is padded by one background pixel and walked as bytes with
-    flat neighbour offsets; every quantity in the loop is a Python int.
-    The walk is a deterministic map on (pixel, backtrack direction)
-    states and stops at the first repeated state, kept as one bit per
-    direction in a byte per pixel.
+    The grid is walked as bytes with flat neighbour offsets; every
+    quantity in the loop is a Python int. The walk is a deterministic
+    map on (pixel, backtrack direction) states and stops at the first
+    repeated state, kept as one bit per direction in a byte per pixel.
     """
-    w = component.shape[1]
-    stride = w + 2
-    grid = np.pad(component, 1).tobytes()
+    stride = grid.shape[1]
+    data = grid.tobytes()
     offsets = [dr * stride + dc for dr, dc in _MOORE]
-    # raster-first pixel, i.e. the top-left-most; west of it is background
-    r, c = divmod(int(np.argmax(component)), w)
-    cur = (r + 1) * stride + c + 1
+    cur = start  # the top-left-most pixel: west of it is background
     back = 0
-    seen = bytearray(len(grid))
+    seen = bytearray(len(data))
     seen[cur] = 1
     pixels = [cur]
     while True:
         for k in range(1, 9):
             d = (back + k) & 7
-            if grid[cur + offsets[d]]:
+            if data[cur + offsets[d]]:
                 break
         else:
             break  # an isolated pixel is its own trace
@@ -336,15 +394,21 @@ def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
     if odd.size:
         marks = np.concatenate([marks, (odd + 1) * bw])
     marks.sort()
-    bounds = np.empty(marks.size + 2, dtype=marks.dtype)
-    bounds[0], bounds[1:-1], bounds[-1] = 0, marks, bh * bw
-    parity = np.zeros(marks.size + 1, dtype=bool)
-    parity[1::2] = True
-    box = np.repeat(parity, bounds[1:] - bounds[:-1]).reshape(bh, bw)
+    box = _alternating(marks, bh * bw).reshape(bh, bw)
     c1 = min(c0 + bw, width)
     out[r0:r0 + bh, c0:c1] = box[:, :c1 - c0]
     out[odd + r0, c1:] = True
     return out
+
+
+def _alternating(marks: np.ndarray, size: int) -> np.ndarray:
+    """A flat bool array of `size` that starts False and flips at each of
+    the sorted flat positions `marks`: one np.repeat of alternating runs."""
+    bounds = np.empty(marks.size + 2, dtype=marks.dtype)
+    bounds[0], bounds[1:-1], bounds[-1] = 0, marks, size
+    value = np.zeros(marks.size + 1, dtype=bool)
+    value[1::2] = True
+    return np.repeat(value, bounds[1:] - bounds[:-1])
 
 
 def _expand(starts: np.ndarray, stops: np.ndarray):

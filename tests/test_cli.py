@@ -166,7 +166,26 @@ class TestDecodeRenderEval:
         assert not out.exists()
 
 
+    def test_missing_contour_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out.pgm"
+        assert run("decode", tmp_path / "missing.json", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
+        assert not out.exists()
+
+
 class TestStudies:
+    @pytest.mark.parametrize("argv, message", [
+        (("sensitivity", "--deltas=-1", "--count", "1", "--trials", "1"), "deltas must be"),
+        (("fidelity", "--degree", "0", "--count", "1"), "degree must be >= 1"),
+        (("gen-synthetic", "--width", "0", "--count", "1"), "frame must be at least 1x1")],
+        ids=["sensitivity", "fidelity", "gen-synthetic"])
+    def test_bad_arguments_are_errors(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.is_file()
+
     def test_gen_synthetic_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):

@@ -9,7 +9,7 @@ from scipy import ndimage
 from beziermask import (DegenerateShapeError, EmptyMaskError, PgmFormatError,
                         boundary_points, largest_component, load_pgm,
                         morphological_smooth, polygon_to_mask,
-                        rasterize_polygon, save_pgm, trace_boundary)
+                        rasterize_polygon, save_pgm, trace_boundary, trace_object)
 from beziermask.experiments import ShapeSpec, generate_shape
 
 
@@ -221,6 +221,21 @@ class TestTraceBoundary:
             got = set(map(tuple, trace_boundary(m).points))
             want = set(map(tuple, boundary_points(m)))
             assert got == want
+
+    def test_trace_object_memory_is_a_few_bytes_of_the_box(self):
+        # labelling and the walk share one padded byte grid of the
+        # bounding box (0.36 of this frame); int32 labels of the box
+        # alone would take 1.44 B per frame pixel
+        size = 4096
+        m = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
+        tracemalloc.start()
+        try:
+            trace = trace_object(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 1000
+        assert peak < 1.5 * size * size
 
 
 def point_in_polygon(px, py, verts):

@@ -1,11 +1,11 @@
-"""The bounding-box pixel passes, the k-d tree Hausdorff distance, the
-run-length polygon fill and the array contour codec against the code
-they replaced.
+"""The bounding-box pixel passes, the labelling of row runs, the k-d tree
+Hausdorff distance, the run-length polygon fill and the array contour
+codec against the code they replaced.
 
-The oracles below are the earlier implementations (full-frame passes,
-the box-local XOR fill, contours as lists of BezierSegments), kept
-verbatim in substance: every output must be equal bit for bit (values,
-dtype and shape), and every error of the same type.
+The oracles below are the earlier implementations (full-frame passes
+with ndimage.label, the box-local XOR fill, contours as lists of
+BezierSegments), kept verbatim in substance: every output must be equal
+bit for bit (values, dtype and shape), and every error of the same type.
 """
 
 import json
@@ -438,6 +438,54 @@ def tied_squares():
     return m
 
 
+def disc_in_ring_hole():
+    """A 1-px ring around a larger disc in its hole, and a speck beside."""
+    m = np.pad(ring(30, 30) | disc(30, 30, 15, 15, 10), ((0, 2), (0, 3)))
+    m[31, 32] = True
+    return m
+
+
+def spiral(n):
+    """A square spiral of 1-px arms 1 px apart, walked in from a corner:
+    most rows cross many arms, which meet only through the turns."""
+    m = np.zeros((n, n), dtype=bool)
+    r = c = 0
+    m[r, c] = True
+    legs = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in (0, 1)]
+    for i, leg in enumerate(legs):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        for _ in range(leg):
+            r, c = r + dr, c + dc
+            m[r, c] = True
+    return m
+
+
+def tied_three():
+    """Three 6-px components; the scan-first one is not the leftmost, and
+    the leftmost starts before the scan-first one's second row."""
+    m = np.zeros((9, 12), dtype=bool)
+    m[1:3, 8:11] = True
+    m[2:5, 1:3] = True
+    m[6, 3:9] = True
+    return m
+
+
+def staircase():
+    """Bars whose ends touch only diagonally: one 8-connected component,
+    and 4-connected components of 2, 3, 5, 3 and 5 px."""
+    m = np.zeros((6, 20), dtype=bool)
+    col = 0
+    for row, length in enumerate((2, 3, 5, 3, 5)):
+        m[row, col:col + length] = True
+        col += length
+    return m
+
+
+def dashes(n):
+    """A random 1 x n line of dashes."""
+    return (np.random.default_rng(n).random(n) < 0.7)[None, :]
+
+
 SHAPED = {
     "whole_frame": np.ones((5, 7), dtype=bool),
     "ring_on_border": ring(9, 6),
@@ -456,11 +504,32 @@ SHAPED = {
     "plus": np.add.outer(np.arange(7) == 3, np.arange(7) == 3),
     "one_px_L": np.pad(np.array([[1, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=bool), 2),
     "checkerboard": (np.add.outer(np.arange(6), np.arange(5)) % 2).astype(bool),
+    "disc_in_ring_hole": disc_in_ring_hole(),
+    "spiral": spiral(25),
+    "tied_three": tied_three(),
+    "staircase": staircase(),
+    "one_by_4096": dashes(4096),
+    "4096_by_one": dashes(4096).T.copy(),
 }
 MASKS = list(SHAPED.values()) + random_masks(400, seed=1)
 
 
 # ---------------------------------------------------------------- tests
+
+def message(fn, *args):
+    """The text of the error fn raises, or None."""
+    try:
+        fn(*args)
+    except (ValueError, BezierMaskError) as e:
+        return str(e)
+    return None
+
+
+def check_trace_boundary(m):
+    for mask in (m, full_largest_component(m)):
+        assert_same(outcome(trace_boundary, mask), outcome(full_trace_boundary, mask))
+        assert message(trace_boundary, mask) == message(full_trace_boundary, mask)
+
 
 @pytest.mark.parametrize("connectivity", [8, 4])
 def test_largest_component(connectivity):
@@ -470,16 +539,56 @@ def test_largest_component(connectivity):
 
 def test_trace_boundary():
     for m in MASKS:
-        assert_same(outcome(trace_boundary, m), outcome(full_trace_boundary, m))
-        kept = full_largest_component(m)
-        assert_same(outcome(trace_boundary, kept), outcome(full_trace_boundary, kept))
+        check_trace_boundary(m)
 
 
-@pytest.mark.parametrize("smooth_radius", [0, 1])
+@pytest.mark.parametrize("smooth_radius", [0, 1, 2])
 def test_trace_object(smooth_radius):
     for m in MASKS:
         assert_same(outcome(trace_object, m, smooth_radius),
                     outcome(full_trace_object, m, smooth_radius))
+
+
+def bench_workloads():
+    """The benchmark's workloads module and its tracer that records nothing."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import spans
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads, spans.NullTracer()
+
+
+def bench_encode_corpus():
+    """The masks of the benchmark's encode-256 workload at seed 1, with specks."""
+    workloads, tracer = bench_workloads()
+    return [m for _, m in workloads.WORKLOADS["encode-256"].make_inputs(1, tracer)]
+
+
+def speckled_2048():
+    """encode-256's masks made at 2048^2: a blob, an ellipse and a
+    dumbbell at its three scales, each with its specks."""
+    workloads, tracer = bench_workloads()
+    return [workloads.add_specks(workloads.generate(tracer, kind, 2048, scale, 1000 + i),
+                                 np.random.default_rng([1, i]))
+            for i, (kind, scale) in enumerate(zip(workloads.KINDS, (0.3, 0.6, 0.9)))]
+
+
+SPECKLED = {"encode_256": bench_encode_corpus, "encode_style_2048": speckled_2048}
+
+
+@pytest.mark.parametrize("case", sorted(SPECKLED))
+def test_labelling_speckled(case):
+    """Labelling, the single-component check and tracing on the
+    benchmark's kind of input: generated shapes with specks beside."""
+    for m in SPECKLED[case]():
+        for connectivity in (8, 4):
+            assert_same(largest_component(m, connectivity), full_largest_component(m, connectivity))
+        check_trace_boundary(m)
+        for smooth_radius in (0, 1, 2):
+            assert_same(outcome(trace_object, m, smooth_radius),
+                        outcome(full_trace_object, m, smooth_radius))
 
 
 def test_boundary_points():
@@ -633,17 +742,6 @@ def assert_same_contour(got, want):
     assert (cp.dtype, cp.shape) == (expected.dtype, expected.shape)
     assert cp.tobytes() == expected.tobytes()
     assert contour_to_json(got) == list_contour_to_json(want)
-
-
-def bench_encode_corpus():
-    """The masks of the benchmark's encode-256 workload at seed 1, with specks."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    try:
-        from spans import NullTracer
-        from workloads import WORKLOADS
-    finally:
-        sys.path.pop(0)
-    return [m for _, m in WORKLOADS["encode-256"].make_inputs(1, NullTracer())]
 
 
 ENCODE_CASES = {
