@@ -208,7 +208,6 @@ def cmd_degree_sweep(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         spec = experiments.ShapeSpec(args.kind, args.width, args.height,
                                      args.seed + i, args.scale)

@@ -9,9 +9,10 @@ Labelling, smoothing, tracing and boundary extraction work on the
 bounding box of the foreground, found by two any() reductions over the
 frame, so their cost follows the object rather than the frame.
 Components are labelled from row runs: one pass over the box, padded by
-a background pixel on every side, finds each run, and runs in adjacent
-rows are joined by searchsorted and connected_components in
-O(runs * log(runs)). The Moore walk reads that same padded grid.
+a background pixel on every side, finds each run; two searchsorted calls
+find the runs of the next row that each run touches, and a union of the
+runs by hooking and pointer jumping joins them in a few O(runs) array
+passes per hooking round. The Moore walk reads that same padded grid.
 Polygons are filled from runs too: the sorted crossings of the
 pixel-centre rows cut the crossings' bounding box into runs of
 alternating parity, so a fill costs O(crossings * log(crossings) + that
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateShapeError, EmptyMaskError, PgmFormatError
 
@@ -69,10 +68,9 @@ def load_pgm(data: bytes, threshold: int = 127) -> np.ndarray:
     if maxval <= 0 or maxval > 255:
         raise PgmFormatError(f"only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
-    pixels = data[pos:pos + width * height]
-    if len(pixels) < width * height:
+    if len(data) - pos < width * height:
         raise PgmFormatError("truncated pixel data")
-    grid = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
+    grid = np.frombuffer(data, np.uint8, count=width * height, offset=pos).reshape(height, width)
     # for integer values, value * 255 > threshold * maxval exactly when
     # value > floor(threshold * maxval / 255)
     return grid > threshold * maxval // 255
@@ -120,19 +118,47 @@ def _label(starts: np.ndarray, stops: np.ndarray, stride: int, reach: int):
 
     Runs in adjacent rows touch when their columns overlap after widening
     each by `reach`: 1 for 8-connectivity, 0 for 4-connectivity. The runs
-    of the next row that touch run i form the range lo[i]:hi[i], and
-    those ranges are the rows of the graph's sparse adjacency matrix.
+    of the next row that touch run i form the range lo[i]:hi[i]. The runs
+    are joined by a union after Shiloach and Vishkin. Each run hangs from
+    the first run above that touches it; a run that touches none is a
+    root, and a box with one root is one component. Otherwise the trees
+    are joined in rounds over the touching pairs left out so far: compress
+    every path by pointer jumping, then hang the larger root of each pair
+    that joins two trees from the smaller root, until no pair does. A run
+    only ever hangs from a smaller run, so the forest stays acyclic and
+    each component's root is its first run; components are numbered in
+    that order. Besides the two searchsorted calls, each round is a few
+    O(runs) array passes.
     """
     lo = np.searchsorted(stops, starts + (stride - reach), side="right")
     hi = np.searchsorted(starts, stops + (stride + reach), side="left")
-    _, neighbours = _expand(lo, hi)
-    n = len(starts)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(hi - lo, out=indptr[1:])
-    graph = csr_matrix((np.ones(neighbours.size), neighbours.astype(np.int32), indptr),
-                       shape=(n, n))
-    # directed edges with weak connection are the undirected components
-    return connected_components(graph, directed=True, connection="weak")
+    runs = np.arange(len(starts))
+    # hi never decreases, so the first run i with hi[i] > j is the first
+    # that can touch run j, and it does iff lo[i] <= j
+    gaps = hi.copy()
+    gaps[1:] -= hi[:-1]
+    first = np.repeat(runs, gaps)
+    below = runs[:first.size]
+    parent = runs.copy()
+    parent[:first.size] = np.where(lo[first] <= below, first, below)
+    if np.count_nonzero(parent == runs) == 1:
+        return 1, np.zeros(len(runs), dtype=np.intp)
+    # the only touching pairs left out: runs i - 1 and i of one row are
+    # disjoint, so at most one run of the next row touches both, lo[i]
+    up = np.flatnonzero(lo[1:] < hi[:-1]) + 1
+    down = lo[up]
+    while True:
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        up, down = parent[up], parent[down]
+        joins = up != down
+        if not joins.any():
+            break
+        up, down = np.minimum(up, down)[joins], np.maximum(up, down)[joins]
+        np.minimum.at(parent, down, up)
+    roots = parent == runs
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[parent]
 
 
 def _component_count(mask: np.ndarray) -> int:
@@ -157,12 +183,9 @@ def _largest(mask: np.ndarray, reach: int):
     count, labels = _label(starts, stops, grid.shape[1], reach)
     if count == 1:  # the grid is the component
         return box, grid, int(starts[0]), int(lengths.sum())
-    sizes = np.bincount(labels, weights=lengths)
     # the largest component; of equal sizes, the one whose first pixel
-    # comes first in scan order, i.e. whose first run comes first
-    _, first = np.unique(labels, return_index=True)
-    tied = np.flatnonzero(sizes == sizes.max())
-    keep = labels == tied[np.argmin(first[tied])]
+    # comes first in scan order, i.e. the first label
+    keep = labels == np.argmax(np.bincount(labels, weights=lengths))
     marks = np.stack([starts[keep], stops[keep]], axis=1).ravel()
     grid = _alternating(marks, grid.size).reshape(grid.shape)
     return box, grid, int(marks[0]), int(lengths[keep].sum())
@@ -172,8 +195,8 @@ def largest_component(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
     """Keep only the largest foreground component (first in scan order on ties).
 
     Labels the row runs of the foreground's bounding box: one pass over
-    the box plus O(runs * log(runs)) time, and the box's bytes besides
-    the zeroed output frame.
+    the box plus a few O(runs) array passes per hooking round, and the
+    box's bytes besides the zeroed output frame.
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
@@ -237,8 +260,8 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
     Starts at the top-left-most foreground pixel. Returned pixel centers
     are unique; spur pixels walked twice are kept at first occurrence.
     The single-component check labels the row runs of the padded
-    bounding box, one pass over the box plus O(runs * log(runs)), and
-    the walk reads that same grid.
+    bounding box, one pass over the box plus a few O(runs) array passes
+    per hooking round, and the walk reads that same grid.
     """
     mask = np.asarray(mask, dtype=bool)
     found = _runs(mask)
@@ -255,8 +278,8 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     """The boundary encode_mask fits: of the largest component, after an
     optional morphological smoothing (whose own largest component
     replaces it unless empty). The component is labelled once from the
-    row runs of the padded bounding box, one pass over the box plus
-    O(runs * log(runs)), and walked on that grid.
+    row runs of the padded bounding box, one pass over the box plus a
+    few O(runs) array passes per hooking round, and walked on that grid.
 
     Raises EmptyMaskError on an empty mask and DegenerateShapeError when
     the object has fewer than 4 pixels or its boundary fewer than 4 points.

@@ -92,8 +92,10 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     if len(a) == 0 or len(b) == 0:
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
-    ab = cKDTree(b).query(a)[0].max()
-    ba = cKDTree(a).query(b)[0].max()
+    # a nearest distance does not depend on the tree's shape: midpoint
+    # splits build faster, and the queries keep their tight node boxes
+    ab = cKDTree(b, balanced_tree=False).query(a)[0].max()
+    ba = cKDTree(a, balanced_tree=False).query(b)[0].max()
     return float(max(ab, ba))
 
 

@@ -184,7 +184,7 @@ class TestStudies:
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        assert not out.is_file()
+        assert not out.exists()
 
     def test_gen_synthetic_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

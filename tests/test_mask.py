@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import beziermask
 from beziermask import (DegenerateShapeError, EmptyMaskError, PgmFormatError,
                         boundary_points, largest_component, load_pgm,
                         morphological_smooth, polygon_to_mask,
@@ -64,6 +69,18 @@ class TestPgm:
     def test_malformed(self, data):
         with pytest.raises(PgmFormatError):
             load_pgm(data)
+
+    @pytest.mark.parametrize("data", [pgm_bytes(np.zeros((3, 5)))[:-1],
+                                      b"P5\n5 3\n255\n",
+                                      b"P5\n5 3\n255"])
+    def test_truncated_pixels(self, data):
+        """One byte short, or a header with no pixels after it."""
+        with pytest.raises(PgmFormatError, match="^truncated pixel data$"):
+            load_pgm(data)
+
+    def test_bytes_after_the_pixels_are_ignored(self):
+        grid = np.arange(15, dtype=np.uint8).reshape(3, 5) * 17
+        np.testing.assert_array_equal(load_pgm(pgm_bytes(grid) + b"\xff" * 7), grid > 127)
 
 
 class TestLargestComponent:
@@ -402,3 +419,14 @@ class TestPolygonToMask:
         want[2, 3:] = want[:3, 3] = True
         np.testing.assert_array_equal(got, want)
         assert peak < 10**5
+
+
+def test_import_leaves_out_scipy_sparse_graphs():
+    """Labelling needs no graph library: importing scipy.sparse.csgraph
+    also loads scipy.sparse.linalg, about 3 MB of RSS in every process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(beziermask.__file__).parents[1]))
+    code = ("import sys, beziermask; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "scipy.sparse.csgraph" not in out and "scipy.sparse.linalg" not in out

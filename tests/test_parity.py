@@ -27,7 +27,7 @@ from beziermask.bezier import basis_matrix
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
 from beziermask.fitting import RCOND, encode_trace
 from beziermask.experiments import ShapeSpec, generate_shape
-from beziermask.mask import _disc
+from beziermask.mask import _component_count, _disc
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -589,6 +589,77 @@ def test_labelling_speckled(case):
         for smooth_radius in (0, 1, 2):
             assert_same(outcome(trace_object, m, smooth_radius),
                         outcome(full_trace_object, m, smooth_radius))
+
+
+def comb(teeth, height):
+    """Teeth 1 px wide and 1 px apart: the top of every tooth is a root
+    (a run touching no run above), and the teeth meet only in the bottom
+    row."""
+    m = np.zeros((height, 2 * teeth - 1), dtype=bool)
+    m[:, ::2] = True
+    m[-1] = True
+    return m
+
+
+def serpentine(depth):
+    """Bars 1 px wide and 1 px apart, joined in pairs at their tops and,
+    alternately, at the bottom row, into one path. Its roots are the
+    tops, and the row of each is a rank: `depth` levels deep, larger
+    ranks sit between the path's minima. A hooking round merges only
+    roots that are not minima among their neighbours, so joining the
+    path takes `depth` rounds."""
+    ranks = [0, 1]
+    for _ in range(depth - 1):
+        wider = list(range(2 * len(ranks) - 1))
+        wider[::2], wider[1::2] = ranks, range(len(ranks), len(wider))
+        ranks = wider
+    k = len(ranks)
+    m = np.zeros((k + 2, 4 * k - 3), dtype=bool)
+    m[ranks[0]:, 0] = True
+    for j in range(1, k):
+        c = 4 * j - 2    # bars 2j - 1 and 2j
+        m[ranks[j]:, c:c + 3:2] = True
+        m[ranks[j], c:c + 3] = True
+        m[-1, c - 2:c + 1] = True
+    return m
+
+
+def concentric_rings(count):
+    """Square rings 1 px wide and 1 px apart around a centre pixel: each
+    ring is its own component, the outermost the largest."""
+    r = np.abs(np.arange(-2 * count, 2 * count + 1))
+    return np.maximum.outer(r, r) % 2 == 0
+
+
+def tied_with_block(m):
+    """m beside a block of as many pixels that starts one row lower: the
+    scan-first component is m, although most of m's roots come after
+    the block's one root."""
+    h, (q, r) = m.shape[0], divmod(int(m.sum()), m.shape[0] - 1)
+    block = np.zeros((h, q + 1), dtype=bool)
+    block[1:, :q] = True
+    block[1:1 + r, q] = True
+    return np.hstack([m, np.zeros((h, 1), dtype=bool), block])
+
+
+ADVERSARIAL = {
+    **{f"noise_{p}": np.random.default_rng(p).random((256, 256)) < p / 100 for p in (30, 45, 60)},
+    "comb": comb(64, 48),
+    "serpentine": serpentine(6),
+    "serpentine_tied_with_block": tied_with_block(serpentine(6)),
+    "concentric_rings": concentric_rings(20),
+    "inverted_comb": comb(64, 48)[::-1].copy(),    # one root fanning out
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+def test_labelling_adversarial(case):
+    """Labelling where it is hardest: many roots, long merges, nesting."""
+    m = ADVERSARIAL[case]
+    for connectivity in (8, 4):
+        assert_same(largest_component(m, connectivity), full_largest_component(m, connectivity))
+    assert_same(_component_count(m), ndimage.label(m, structure=_STRUCT_8)[1])
+    check_trace_boundary(m)
 
 
 def test_boundary_points():
