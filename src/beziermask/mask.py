@@ -95,6 +95,14 @@ def _bbox(mask: np.ndarray):
     return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
+def _padded(mask: np.ndarray, box) -> np.ndarray:
+    """The crop of `mask` to `box` in a zeroed bool grid with one
+    background pixel of padding on every side."""
+    grid = np.zeros((box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2), dtype=bool)
+    grid[1:-1, 1:-1] = mask[box]
+    return grid
+
+
 def _runs(mask: np.ndarray):
     """(box, grid, starts, stops) of the foreground, or None for an empty
     mask. grid is the crop of the bounding box `box` padded by one
@@ -104,8 +112,7 @@ def _runs(mask: np.ndarray):
     box = _bbox(mask)
     if box is None:
         return None
-    grid = np.zeros((box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2), dtype=bool)
-    grid[1:-1, 1:-1] = mask[box]
+    grid = _padded(mask, box)
     flat = grid.ravel()
     # the grid starts and ends with background, so changes pair up
     edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
@@ -340,21 +347,42 @@ def _moore_walk(grid: np.ndarray, start: int, box) -> BoundaryTrace:
     return BoundaryTrace(points)
 
 
+def _as_2d(mask) -> np.ndarray:
+    """mask as a bool array; ValueError unless it is 2-D."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+    return mask
+
+
 def boundary_points(mask: np.ndarray) -> np.ndarray:
     """Centers of foreground pixels with a background 4-neighbor or on the border.
 
-    Computed on the foreground's bounding box: O(bounding box).
+    One row scan of the frame finds the foreground's bounding box;
+    the rest takes O(bounding box) time and memory. A mask that is not
+    2-D raises ValueError.
     """
-    mask = np.asarray(mask, dtype=bool)
-    box = _bbox(mask)
+    mask = _as_2d(mask)
+    return _boundary(mask, _bbox(mask))
+
+
+def _boundary(mask: np.ndarray, box) -> np.ndarray:
+    """boundary_points of a 2-D bool mask whose foreground lies in `box`
+    (None when it has none), computed on the padded box grid."""
     if box is None:
         return np.empty((0, 2))
-    crop = mask[box]
-    padded = np.pad(crop, 1, constant_values=False)
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
-    rows, cols = np.divmod(np.flatnonzero(crop & ~interior), crop.shape[1])
-    return np.stack([cols + box[1].start + 0.5, rows + box[0].start + 0.5], axis=1)
+    grid = _padded(mask, box)
+    n = grid.shape[1]
+    flat = grid.ravel()
+    core = flat[n:-n]  # the box's rows with their padding columns
+    edge = flat[:-2 * n] & flat[2 * n:]  # neighbours above and below
+    edge[1:-1] &= core[:-2]
+    edge[1:-1] &= core[2:]
+    # foreground pixels whose four neighbours are not all foreground;
+    # padding pixels are background, so none of them is kept
+    np.greater(core, edge, out=edge)
+    rows, cols = np.divmod(np.flatnonzero(edge), n)
+    return np.stack([cols + (box[1].start - 1) + 0.5, rows + box[0].start + 0.5], axis=1)
 
 
 def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarray:

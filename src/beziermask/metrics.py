@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import UndefinedMetricError
-from .mask import boundary_points
+from .mask import _as_2d, _bbox, _boundary
 
 
 @dataclass
@@ -102,19 +102,35 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def compare_masks(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
     """All per-pair metrics. Hausdorff is taken between boundary pixel sets.
 
-    If either mask is empty the Hausdorff entry is NaN (the other
-    metrics keep their conventional degenerate values). Cost: four
-    passes over the frame for the counts, O(bounding box) per mask for
-    the boundary pixels and O((N + M) log) for the Hausdorff distance;
-    memory O(H*W) bytes.
+    If either mask is empty the Hausdorff entry is NaN, and 0 if both
+    are (the other metrics keep their conventional degenerate values).
+    Cost: one row scan of each frame finds its foreground's bounding
+    box; the counts then take O(union of the two boxes), each mask's
+    boundary pixels O(its own box), and the Hausdorff distance
+    O((N + M) log). Memory O(union box) bytes. Masks of different
+    shapes, or not 2-D, raise ValueError.
     """
-    counts = confusion(pred, gt)
-    try:
-        hd = hausdorff(boundary_points(pred), boundary_points(gt))
-    except UndefinedMetricError:
-        hd = 0.0 if not (np.any(pred) or np.any(gt)) else math.nan
+    pred, gt = _as_2d(pred), _as_2d(gt)
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+    pred_box, gt_box = _bbox(pred), _bbox(gt)
+    # every pixel outside the union of the boxes is a true negative
+    box = _union(pred_box, gt_box) or (slice(0, 0), slice(0, 0))
+    c = confusion(pred[box], gt[box])
+    counts = ConfusionCounts(c.tp, pred.size - c.tp - c.fp - c.fn, c.fp, c.fn)
+    if pred_box is None or gt_box is None:
+        hd = math.nan if pred_box or gt_box else 0.0
+    else:
+        hd = hausdorff(_boundary(pred, pred_box), _boundary(gt, gt_box))
     fp_rate, fn_rate = fp_fn_rates(counts)
     return MetricsReport(iou(counts), hd, mcc(counts), fp_rate, fn_rate)
+
+
+def _union(a, b):
+    """The smallest box holding boxes a and b, either of which may be None."""
+    if a is None or b is None:
+        return a or b
+    return tuple(slice(min(s.start, t.start), max(s.stop, t.stop)) for s, t in zip(a, b))
 
 
 def summarize(reports) -> DatasetSummary:

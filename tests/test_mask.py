@@ -239,6 +239,11 @@ class TestTraceBoundary:
             want = set(map(tuple, boundary_points(m)))
             assert got == want
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 3), ()])
+    def test_boundary_points_rejects_masks_not_2d(self, shape):
+        with pytest.raises(ValueError, match="mask must be 2-D"):
+            boundary_points(np.ones(shape, bool))
+
     def test_trace_object_memory_is_a_few_bytes_of_the_box(self):
         # labelling and the walk share one padded byte grid of the
         # bounding box (0.36 of this frame); int32 labels of the box

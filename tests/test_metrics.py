@@ -163,6 +163,12 @@ class TestCompareMasks:
         assert rep.iou == pytest.approx(8 / 24)
         assert rep.hausdorff == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 3), ()])
+    def test_mask_not_2d_rejected(self, shape):
+        m = np.ones(shape, bool)
+        with pytest.raises(ValueError, match="mask must be 2-D"):
+            compare_masks(m, m)
+
     def test_encode_eval_memory_is_linear_in_frame_area(self):
         # encode -> decode -> raster -> metrics on a 4096^2 blob; an
         # all-pairs Hausdorff matrix alone would need about 1.8 GB here
@@ -178,6 +184,24 @@ class TestCompareMasks:
             tracemalloc.stop()
         assert rep.iou > 0.95
         assert peak < 8 * size * size
+
+
+def test_compare_masks_memory_follows_the_boxes():
+    # counts and boundaries work on the foreground boxes (the union box
+    # is about 0.36 of this frame); a frame-sized pred & gt alone would
+    # take 1 B per frame pixel
+    size = 4096
+    gt = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
+    contour, _ = encode_mask(gt)
+    pred = polygon_to_mask(decode_contour(contour, 128), size, size)
+    tracemalloc.start()
+    try:
+        rep = compare_masks(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iou > 0.95
+    assert peak < size * size
 
 
 class TestSummarize:

@@ -9,6 +9,8 @@ bit for bit (values, dtype and shape), and every error of the same type.
 """
 
 import json
+import math
+import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +20,8 @@ import pytest
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from beziermask import (BezierMaskError, BezierSegment, ContourFormatError, boundary_points, confusion, contour_from_json, contour_to_json,
+from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, ContourFormatError, boundary_points, compare_masks,
+                        confusion, contour_from_json, contour_to_json, fp_fn_rates, iou, mcc,
                         decode_contour, decode_points, encode_mask, find_extreme_points,
                         fit_arc, flatten, hausdorff, largest_component, morphological_smooth,
                         perturb_contour, polygon_to_mask, rasterize_polygon, sample_parameters,
@@ -227,6 +230,16 @@ def cdist_hausdorff(a, b):
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
     d = cdist(a, b)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def full_compare_masks(pred, gt):
+    counts = ConfusionCounts(*full_confusion(pred, gt))
+    try:
+        hd = cdist_hausdorff(full_boundary_points(pred), full_boundary_points(gt))
+    except UndefinedMetricError:
+        hd = 0.0 if not (np.any(pred) or np.any(gt)) else math.nan
+    fp_rate, fn_rate = fp_fn_rates(counts)
+    return iou(counts), hd, mcc(counts), fp_rate, fn_rate
 
 
 # ---------------------------------------------------------------- contour oracles
@@ -673,6 +686,51 @@ def test_confusion():
         for pred, gt in ((m, m), (m, ~m), (m, np.zeros_like(m)), (m, other)):
             got = outcome(lambda p, g: tuple(vars(confusion(p, g)).values()), pred, gt)
             assert_same(got, outcome(full_confusion, pred, gt))
+
+
+def report_bits(fn, pred, gt):
+    """The types and float64 bytes of the five report fields (so NaN
+    matches NaN and nothing else), or the type of the error raised."""
+    got = outcome(fn, pred, gt)
+    if isinstance(got, type):
+        return got
+    fields = tuple(got) if isinstance(got, tuple) else tuple(vars(got).values())
+    return tuple(map(type, fields)), struct.pack("5d", *fields)
+
+
+def boxes(shape, *corners):
+    """A mask holding one filled box per (r0, r1, c0, c1)."""
+    m = np.zeros(shape, dtype=bool)
+    for r0, r1, c0, c1 in corners:
+        m[r0:r1, c0:c1] = True
+    return m
+
+
+def report_pairs():
+    others = random_masks(len(MASKS), seed=2)
+    for m, other in zip(MASKS, others):
+        yield from ((m, m), (m, ~m), (m, np.zeros_like(m)), (m, other))
+    corner, far = boxes((20, 30), (0, 5, 0, 7)), boxes((20, 30), (14, 20, 22, 30))
+    outer, inner = boxes((20, 30), (2, 18, 3, 27)), boxes((20, 30), (6, 12, 9, 15))
+    holed = outer & ~inner
+    yield from ((corner, far), (far, corner), (outer, inner), (inner, outer), (holed, inner),
+                (holed, outer), (corner, np.zeros_like(corner)), (np.zeros((4, 9), bool),) * 2)
+    # every border: a full frame, a ring and a cross that spans it
+    cross = boxes((9, 12), (4, 5, 0, 12), (0, 9, 6, 7))
+    for a, b in ((ring(9, 12), cross), (np.ones((9, 12), bool), cross), (ring(9, 12), ~cross)):
+        yield from ((a, b), (b, a))
+    rng = np.random.default_rng(3)
+    for shape in ((1, 17), (17, 1), (1, 1)):
+        for _ in range(6):
+            yield rng.random(shape) < 0.5, rng.random(shape) < 0.5
+    yield np.ones((1, 1), bool), np.zeros((1, 1), bool)
+    yield (outer * np.uint8(255), holed * np.uint8(255))
+    yield outer, outer[:, :-1]
+
+
+def test_compare_masks():
+    for pred, gt in report_pairs():
+        assert_same(report_bits(compare_masks, pred, gt), report_bits(full_compare_masks, pred, gt))
 
 
 @pytest.mark.parametrize("seed", range(4))
