@@ -159,7 +159,8 @@ def cmd_eval(args) -> int:
             continue
         scored.append(stem)
     if reports:
-        metrics.write_metrics_csv(args.out, scored, reports, metrics.summarize(reports))
+        _write_csv_atomic(Path(args.out),
+                          metrics.csv_rows(scored, reports, metrics.summarize(reports)))
     return 0 if len(reports) == len(stems) else 1
 
 

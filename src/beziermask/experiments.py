@@ -21,6 +21,7 @@ from .mask import (BoundaryTrace, polygon_to_mask, rasterize_polygon,  # noqa: F
                    trace_boundary)
 
 _SEED_STEP = 0x9E3779B9  # odd constant so perturbed retry seeds never collide
+_STACK_BYTES = 4 * 2 ** 20  # bytes of bool frames per polygon_to_mask call in a sweep
 
 
 @dataclass
@@ -194,15 +195,22 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     identically distributed Gaussian noise on their defining points; the
     perturbed shape is rasterized and scored against the clean mask.
     Each mask is traced once, on its largest component, and that trace
-    feeds both the Bezier fit and the polygon baseline.
+    feeds both the Bezier fit and the polygon baseline. All of a mask's
+    noisy contours are drawn first and rasterized as (B, n, 2) stacks of
+    at most as many frames as fit in 4 MiB of bool pixels (one at least),
+    so memory stays linear in frame area. Deltas must be finite and
+    non-negative, and trials at least 1; anything else raises ValueError.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.size == 0 or (deltas < 0).any():
-        raise ValueError("deltas must be non-negative and non-empty")
+    if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas >= 0)):
+        raise ValueError("deltas must be finite, non-negative and non-empty")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     sum_b = np.zeros(len(deltas))
     sum_p = np.zeros(len(deltas))
     n_scored = 0
     for i, m in enumerate(masks):
+        m = np.asarray(m, dtype=bool)
         h, w = m.shape
         trace = mask_ops.trace_object(m)
         contour, _ = fitting.encode_trace(trace, 5, w, h)
@@ -210,20 +218,36 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
             continue
         poly20 = polygon_baseline(trace, points)
         n_scored += 1
+        bezier, polygon = [], []
         for di, delta in enumerate(deltas):
             for t in range(trials):
                 s = np.random.SeedSequence([seed, i, di, t])
                 s_bez, s_poly = s.spawn(2)
                 noisy = perturb_contour(contour, delta, s_bez)
-                poly = fitting.decode_contour(noisy, samples_per_segment)
-                rb = polygon_to_mask(poly, w, h)
-                sum_b[di] += metrics.iou(metrics.confusion(rb, m))
-
+                bezier.append(fitting.decode_contour(noisy, samples_per_segment))
                 rng = np.random.default_rng(s_poly)
-                verts = poly20 + rng.normal(0.0, delta, poly20.shape)
-                rp = polygon_to_mask(verts, w, h)
-                sum_p[di] += metrics.iou(metrics.confusion(rp, m))
+                polygon.append(poly20 + rng.normal(0.0, delta, poly20.shape))
+        # summed per trial in (delta, trial) order, as one IoU at a time
+        for total, polys in ((sum_b, bezier), (sum_p, polygon)):
+            ious = _ious(polys, m).reshape(len(deltas), trials)
+            for t in range(trials):
+                total += ious[:, t]
     if n_scored == 0:
         raise DegenerateShapeError("no mask in the corpus was usable")
     denom = n_scored * trials
     return SensitivityCurve(deltas, sum_b / denom, sum_p / denom, trials)
+
+
+def _ious(polys: list, m: np.ndarray) -> np.ndarray:
+    """IoU of polygon_to_mask(poly) with the non-empty mask m for each of
+    the equal-sized polygons in polys, rasterized in stacks of at most
+    _STACK_BYTES of frames."""
+    h, w = m.shape
+    per_stack = max(1, _STACK_BYTES // (h * w))
+    area = np.count_nonzero(m)
+    out = []
+    for k in range(0, len(polys), per_stack):
+        for raster in polygon_to_mask(np.stack(polys[k:k + per_stack]), w, h):
+            tp = np.count_nonzero(raster & m)
+            out.append(tp / (np.count_nonzero(raster) + area - tp))
+    return np.array(out)

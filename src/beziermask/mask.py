@@ -16,7 +16,12 @@ passes per hooking round. The Moore walk reads that same padded grid.
 Polygons are filled from runs too: the sorted crossings of the
 pixel-centre rows cut the crossings' bounding box into runs of
 alternating parity, so a fill costs O(crossings * log(crossings) + that
-box) time and the box's bytes besides the output frame.
+box) time and the box's bytes besides the output frame. A (B, n, 2)
+stack of polygons is filled and outlined by the same numpy calls as one
+polygon, into (B, height, width) frames: each polygon gets the union of
+all the crossings' boxes, and each slice equals the single-polygon
+raster bit for bit. experiments.sensitivity_sweep rasterizes its noisy
+contours in such stacks of at most 4 MiB of frames.
 """
 
 from __future__ import annotations
@@ -389,36 +394,46 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     """Even-odd scanline fill of a closed polygon into a width x height mask.
 
     A pixel is foreground iff its center lies inside; vertices outside
-    the frame are fine (the fill clips naturally). `vertices` must be an
-    (n, 2) array of (x, y) with n >= 3. Each edge crosses the rows whose
-    center y lies in [ymin, ymax), so a shared vertex is counted once and
-    horizontal edges never; a crossing at x flips the parity of every
-    pixel in its row whose center is >= x. The sorted crossings split the
-    crossings' bounding box into runs of alternating parity, written by
-    one np.repeat. Time is O(crossings * log(crossings) + bounding box)
-    besides zeroing the output frame; memory is the box's bytes plus the
-    frame's.
+    the frame are fine (the fill clips naturally). `vertices` is an
+    (n, 2) array of (x, y) with n >= 3, giving a (height, width) mask,
+    or a stack of B such polygons, (B, n, 2), giving (B, height, width)
+    masks whose slices equal the single-polygon calls bit for bit. Each
+    edge crosses the rows whose center y lies in [ymin, ymax), so a
+    shared vertex is counted once and horizontal edges never; a crossing
+    at x flips the parity of every pixel in its row whose center is >= x.
+    The sorted crossings of the whole stack split B copies of the box
+    that bounds them all, one per polygon, into runs of alternating
+    parity, written by one np.repeat. Time is O(crossings *
+    log(crossings) + B * that box) besides zeroing the output frames;
+    memory is B boxes' bytes plus the frames'.
     """
-    a, b = _polygon(vertices, width, height)
-    return _fill(a, b, width, height)
+    a, b, single = _polygon(vertices, width, height)
+    out = _fill(a, b, width, height)
+    return out[0] if single else out
 
 
 def _polygon(vertices, width: int, height: int):
-    """(vertices, next vertices) as (n, 2) float arrays, after checking
-    the polygon and the frame."""
+    """(vertices, next vertices, single): the polygons as (B, n, 2) float
+    arrays, after checking the stack and the frame, and whether the input
+    was one (n, 2) polygon."""
     a = np.asarray(vertices, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ValueError(f"vertices must be an (n, 2) array, not shape {a.shape}")
-    if a.shape[0] < 3:
+    if a.ndim not in (2, 3) or a.shape[-1] != 2:
+        raise ValueError(f"vertices must be an (n, 2) or (B, n, 2) array, not shape {a.shape}")
+    if a.shape[-2] < 3:
         raise ValueError("polygon needs at least 3 vertices")
     if width < 1 or height < 1:
         raise ValueError("frame must be at least 1x1")
-    return a, np.concatenate([a[1:], a[:1]])
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    return a, np.concatenate([a[:, 1:], a[:, :1]], axis=1), single
 
 
 def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
-    """The even-odd fill of the polygon with edges a[i] -> b[i]."""
-    x1, y1, x2, y2 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    """The even-odd fills, (B, height, width), of the polygons with edges
+    a[p, i] -> b[p, i]."""
+    count, sides = a.shape[:2]
+    (x1, y1), (x2, y2) = a.reshape(-1, 2).T, b.reshape(-1, 2).T
     ys = np.arange(height) + 0.5
     # rows first..last-1 are those with ymin <= ys < ymax (half-open)
     first = np.searchsorted(ys, np.minimum(y1, y2), side="left")
@@ -429,26 +444,28 @@ def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
     # first pixel center >= xs; column `width` flips nothing in the frame
     cols = np.searchsorted(np.arange(width) + 0.5, xs, side="left")
 
-    out = np.zeros((height, width), dtype=bool)
+    out = np.zeros((count, height, width), dtype=bool)
     if rows.size == 0:
         return out
     # outside the crossings' rows and columns the parity is 0: fill that
-    # box in raster order, each crossing a flat position where it flips
+    # box of every polygon in raster order, each crossing a flat position
+    # where it flips
     r0, c0 = int(rows.min()), int(cols.min())
     bh, bw = int(rows.max()) + 1 - r0, int(cols.max()) + 1 - c0
-    rows -= r0
+    rows = edges // sides * bh + (rows - r0)    # row in the stacked boxes
     marks = rows * bw + (cols - c0)
     # a NaN vertex can leave a row crossed an odd number of times: one more
     # mark at its end resets the parity for the next row, and in the frame
     # that row stays 1 up to the right edge
-    odd = np.flatnonzero(np.bincount(rows, minlength=bh) & 1)
+    odd = np.flatnonzero(np.bincount(rows, minlength=count * bh) & 1)
     if odd.size:
         marks = np.concatenate([marks, (odd + 1) * bw])
     marks.sort()
-    box = _alternating(marks, bh * bw).reshape(bh, bw)
+    box = _alternating(marks, count * bh * bw).reshape(count, bh, bw)
     c1 = min(c0 + bw, width)
-    out[r0:r0 + bh, c0:c1] = box[:, :c1 - c0]
-    out[odd + r0, c1:] = True
+    out[:, r0:r0 + bh, c0:c1] = box[:, :, :c1 - c0]
+    if odd.size:
+        out[odd // bh, odd % bh + r0, c1:] = True
     return out
 
 
@@ -476,20 +493,26 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     Decoded contours interpolate the centers of boundary pixels, which
     were foreground in the source mask; a bare center-inside fill would
     systematically lose that half-pixel rim, so outline pixels are
-    foreground too. The fill is rasterize_polygon's run-length fill. The
-    outline is every vertex plus, on each edge longer than 0.5 px, the
-    n - 1 interior points at fractions k / n (n = ceil(length / 0.5));
-    each marks the pixel it falls in, stamped through one flat index.
-    Only the k whose points can land in the frame are generated: each
-    edge is clipped to the frame widened by one pixel, and one more k is
-    taken on each side, so the work is bounded by the frame and not by
-    the coordinates. Time is O(crossings * log(crossings) + the
-    crossings' bounding box + perimeter in the frame) besides zeroing
-    the output frame; memory is that box's bytes plus the frame's.
+    foreground too. `vertices` is one (n, 2) polygon or a (B, n, 2)
+    stack, as for rasterize_polygon, and the result is (height, width)
+    or (B, height, width) to match; each slice of a stack equals the
+    single-polygon call bit for bit. The fill is rasterize_polygon's
+    run-length fill. The outline is every vertex plus, on each edge
+    longer than 0.5 px, the n - 1 interior points at fractions k / n
+    (n = ceil(length / 0.5)); each marks the pixel it falls in, and the
+    whole stack's are stamped through one flat index. Only the k whose
+    points can land in the frame are generated: when a vertex of the
+    stack lies outside the frame widened by one pixel, each edge is
+    clipped to that widened frame, and one more k is taken on each side,
+    so the work is bounded by the frame and not by the coordinates. Time
+    is O(crossings * log(crossings) + B * the crossings' bounding box +
+    perimeter in the frame) besides zeroing the output frames; memory is
+    B boxes' bytes plus the frames'.
     """
-    a, b = _polygon(vertices, width, height)
+    a, b, single = _polygon(vertices, width, height)
     out = _fill(a, b, width, height)
-    step = b - a
+    sides = a.shape[1]
+    a, step = a.reshape(-1, 2), (b - a).reshape(-1, 2)
     lengths = np.hypot(step[:, 0], step[:, 1])
     # k and n must be exact in float64: longer edges get no interior points
     long_edges = np.flatnonzero((lengths > 0.5) & (lengths < 2.0 ** 52))
@@ -511,7 +534,8 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     e = long_edges[edges]
     x = np.concatenate([a[:, 0], a[e, 0] + frac * step[e, 0]])
     y = np.concatenate([a[:, 1], a[e, 1] + frac * step[e, 1]])
+    polygon = np.concatenate([np.arange(len(a)), e]) // sides
     keep = (x >= 0) & (x < width) & (y >= 0) & (y < height)
     rows, cols = np.floor(y[keep]).astype(np.intp), np.floor(x[keep]).astype(np.intp)
-    out.ravel()[rows * width + cols] = True
-    return out
+    out.ravel()[(polygon[keep] * height + rows) * width + cols] = True
+    return out[0] if single else out

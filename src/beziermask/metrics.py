@@ -150,15 +150,19 @@ def summarize(reports) -> DatasetSummary:
     )
 
 
+def csv_rows(ids, reports, summary: DatasetSummary | None = None) -> list:
+    """The rows of write_metrics_csv: a header, one row per image and an
+    optional trailing summary row."""
+    rows = [["image_id", "iou", "hausdorff", "mcc", "fp_rate", "fn_rate"]]
+    rows += [[image_id, r.iou, r.hausdorff, r.mcc, r.fp_rate, r.fn_rate]
+             for image_id, r in zip(ids, reports)]
+    if summary is not None:
+        rows.append(["__summary__", summary.miou, summary.mean_hausdorff,
+                     summary.mean_mcc, summary.mean_fp_rate, summary.mean_fn_rate])
+    return rows
+
+
 def write_metrics_csv(path, ids, reports, summary: DatasetSummary | None = None):
     """Per-image rows plus an optional trailing summary row."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["image_id", "iou", "hausdorff", "mcc", "fp_rate", "fn_rate"])
-        for image_id, r in zip(ids, reports):
-            writer.writerow([image_id, r.iou, r.hausdorff, r.mcc, r.fp_rate, r.fn_rate])
-        if summary is not None:
-            writer.writerow(["__summary__", summary.miou, summary.mean_hausdorff,
-                             summary.mean_mcc, summary.mean_fp_rate, summary.mean_fn_rate])
-
-
+        csv.writer(f).writerows(csv_rows(ids, reports, summary))

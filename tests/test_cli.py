@@ -1,13 +1,16 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
+from beziermask import fitting, metrics
 from beziermask.cli import main
-from beziermask.mask import load_pgm, save_pgm
+from beziermask.mask import load_pgm, polygon_to_mask, save_pgm
 
 
 def write_pgm(path, mask):
@@ -116,6 +119,49 @@ class TestDecodeRenderEval:
         assert rows[-1][0] == "__summary__"
         assert float(rows[-1][1]) > 0.9  # summary miou
 
+    def test_eval_csv_is_write_metrics_csv(self, encoded, mask_dir, tmp_path):
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--pred", encoded, "--gt", mask_dir, "--out", out) == 0
+        stems = sorted(p.stem for p in mask_dir.glob("*.pgm"))
+        reports = []
+        for stem in stems:
+            gt = read_pgm(mask_dir / f"{stem}.pgm")
+            h, w = gt.shape
+            contour = fitting.contour_from_json((encoded / f"{stem}.json").read_text())
+            poly = fitting.decode_contour(fitting.scale_contour(contour, w, h), 128)
+            reports.append(metrics.compare_masks(polygon_to_mask(poly, w, h), gt))
+        want = tmp_path / "want.csv"
+        metrics.write_metrics_csv(want, stems, reports, metrics.summarize(reports))
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_eval_write_failing_part_way_keeps_the_old_csv(self, encoded, mask_dir, tmp_path,
+                                                           capsys, monkeypatch):
+        out = tmp_path / "metrics.csv"
+        out.write_bytes(b"old,metrics\r\n")
+        fdopen = os.fdopen
+
+        class DiskFull:
+            """A file that takes half of the first write, then fails."""
+
+            def __init__(self, fd, mode):
+                self.f = fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", DiskFull)
+        assert run("eval", "--pred", encoded, "--gt", mask_dir, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"old,metrics\r\n"
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
     def test_eval_skips_unreadable_gt(self, encoded, mask_dir, tmp_path, capsys):
         gt_dir = tmp_path / "gt"
         gt_dir.mkdir()
@@ -178,8 +224,12 @@ class TestStudies:
     @pytest.mark.parametrize("argv, message", [
         (("sensitivity", "--deltas=-1", "--count", "1", "--trials", "1"), "deltas must be"),
         (("fidelity", "--degree", "0", "--count", "1"), "degree must be >= 1"),
-        (("gen-synthetic", "--width", "0", "--count", "1"), "frame must be at least 1x1")],
-        ids=["sensitivity", "fidelity", "gen-synthetic"])
+        (("gen-synthetic", "--width", "0", "--count", "1"), "frame must be at least 1x1"),
+        (("sensitivity", "--count", "1", "--trials", "0"), "trials must be >= 1"),
+        (("sensitivity", "--deltas", "1,nan", "--count", "1"), "deltas must be"),
+        (("sensitivity", "--deltas", "inf", "--count", "1"), "deltas must be")],
+        ids=["sensitivity", "fidelity", "gen-synthetic", "sensitivity-no-trials",
+             "sensitivity-nan-delta", "sensitivity-inf-delta"])
     def test_bad_arguments_are_errors(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 1

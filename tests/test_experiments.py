@@ -1,5 +1,8 @@
 """Tests for the synthetic corpus and the two study drivers."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -208,3 +211,29 @@ class TestSensitivitySweep:
             sensitivity_sweep(blob_masks[:1], deltas=[], trials=1)
         with pytest.raises(ValueError):
             sensitivity_sweep(blob_masks[:1], deltas=[-1.0], trials=1)
+
+    @pytest.mark.parametrize("deltas, trials, message", [
+        ([1.0], 0, "trials must be >= 1"), ([1.0], -1, "trials must be >= 1"),
+        ([np.nan], 1, "deltas must be"), ([0.0, np.inf], 1, "deltas must be"),
+        ([-np.inf], 1, "deltas must be")])
+    def test_bad_arguments_fail_up_front(self, blob_masks, deltas, trials, message):
+        # with no trials the curve was 0/0 (NaN, with a RuntimeWarning) or
+        # -0.0, and a NaN or infinite delta failed later as a contour error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                sensitivity_sweep(blob_masks[:1], deltas, trials)
+
+    def test_memory_does_not_grow_with_trials(self):
+        """A sweep rasterizes in stacks of at most 4 MiB of frames: four
+        1024^2 frames, so twenty trials peak about where four do."""
+        m = generate_shape(ShapeSpec("blob", 1024, 1024, 2, 0.6))
+        peaks = []
+        for trials in (4, 20):
+            tracemalloc.start()
+            try:
+                sensitivity_sweep([m], [0.0, 2.0], trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import beziermask
@@ -424,6 +426,44 @@ class TestPolygonToMask:
         want[2, 3:] = want[:3, 3] = True
         np.testing.assert_array_equal(got, want)
         assert peak < 10**5
+
+
+@st.composite
+def polygon_stacks(draw):
+    """(stack, width, height): frames down to 1 x N and N x 1, and stacks
+    that mix polygons inside the frame widened by one pixel with polygons
+    reaching far outside it, with vertices on that widened border and NaN."""
+    w, h = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    w, h = draw(st.sampled_from([(w, h), (1, h), (w, 1)]))
+    count, n = draw(st.integers(1, 4)), draw(st.integers(3, 7))
+    special = st.sampled_from([-1.0, w + 1.0, h + 1.0, np.nan])
+    inside = st.one_of(st.floats(-1.0, min(w, h) + 1.0), special)
+    anywhere = st.one_of(st.floats(-4.0 * max(w, h), 4.0 * max(w, h)),
+                         st.floats(-1e9, 1e9), special)
+    stack = [draw(st.lists(draw(st.sampled_from([inside, anywhere])),
+                           min_size=2 * n, max_size=2 * n)) for _ in range(count)]
+    return np.array(stack).reshape(count, n, 2), w, h
+
+
+class TestPolygonStacks:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(polygon_stacks())
+    def test_slices_equal_single_calls(self, case):
+        stack, w, h = case
+        for fn in (rasterize_polygon, polygon_to_mask):
+            got = fn(stack, w, h)
+            assert got.dtype == bool and got.shape == (len(stack), h, w)
+            for raster, verts in zip(got, stack):
+                np.testing.assert_array_equal(raster, fn(verts, w, h))
+
+    @pytest.mark.parametrize("fn", [rasterize_polygon, polygon_to_mask])
+    def test_stack_shapes_are_checked(self, fn):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            fn(np.zeros((4, 2, 2)), 8, 8)
+        for shape in [(4, 5, 3), (1, 4, 5, 2)]:
+            with pytest.raises(ValueError, match=r"\(B, n, 2\)"):
+                fn(np.zeros(shape), 8, 8)
+        assert fn(np.zeros((0, 3, 2)), 8, 5).shape == (0, 5, 8)
 
 
 def test_import_leaves_out_scipy_sparse_graphs():

@@ -1,11 +1,12 @@
 """The bounding-box pixel passes, the labelling of row runs, the k-d tree
-Hausdorff distance, the run-length polygon fill and the array contour
-codec against the code they replaced.
+Hausdorff distance, the run-length polygon fill, the array contour codec
+and the stacked noise sweep against the code they replaced.
 
 The oracles below are the earlier implementations (full-frame passes
 with ndimage.label, the box-local XOR fill, contours as lists of
-BezierSegments), kept verbatim in substance: every output must be equal
-bit for bit (values, dtype and shape), and every error of the same type.
+BezierSegments, a sweep that rasterizes and scores one polygon at a
+time), kept verbatim in substance: every output must be equal bit for
+bit (values, dtype and shape), and every error of the same type.
 """
 
 import json
@@ -24,8 +25,9 @@ from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, Contour
                         confusion, contour_from_json, contour_to_json, fp_fn_rates, iou, mcc,
                         decode_contour, decode_points, encode_mask, find_extreme_points,
                         fit_arc, flatten, hausdorff, largest_component, morphological_smooth,
-                        perturb_contour, polygon_to_mask, rasterize_polygon, sample_parameters,
-                        scale_contour, split_boundary, trace_boundary, trace_object, unflatten)
+                        perturb_contour, polygon_baseline, polygon_to_mask, rasterize_polygon,
+                        sample_parameters, scale_contour, sensitivity_sweep, split_boundary,
+                        trace_boundary, trace_object, unflatten)
 from beziermask.bezier import basis_matrix
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
 from beziermask.fitting import RCOND, encode_trace
@@ -991,3 +993,65 @@ def test_zero_size_frame_is_rejected(frame):
     assert outcome(contour_from_json, text) is ContourFormatError
     assert outcome(unflatten, np.arange(40.0), *frame) is ContourFormatError
     assert outcome(scale_contour, contour_from_json(good), *frame) is ContourFormatError
+
+
+# ---------------------------------------------------------------- sweep
+
+def per_polygon_sweep(masks, deltas, trials, seed=0, samples_per_segment=128, points=20):
+    """The (bezier, polygon) curves of sensitivity_sweep as it was: one
+    polygon_to_mask and one full-frame confusion per noisy contour and
+    per noisy baseline."""
+    deltas = np.asarray(deltas, dtype=float)
+    sum_b = np.zeros(len(deltas))
+    sum_p = np.zeros(len(deltas))
+    n_scored = 0
+    for i, m in enumerate(masks):
+        h, w = m.shape
+        trace = trace_object(m)
+        contour, _ = encode_trace(trace, 5, w, h)
+        if len(trace) < points:
+            continue
+        poly20 = polygon_baseline(trace, points)
+        n_scored += 1
+        for di, delta in enumerate(deltas):
+            for t in range(trials):
+                s = np.random.SeedSequence([seed, i, di, t])
+                s_bez, s_poly = s.spawn(2)
+                noisy = perturb_contour(contour, delta, s_bez)
+                poly = decode_contour(noisy, samples_per_segment)
+                rb = polygon_to_mask(poly, w, h)
+                sum_b[di] += iou(confusion(rb, m))
+
+                rng = np.random.default_rng(s_poly)
+                verts = poly20 + rng.normal(0.0, delta, poly20.shape)
+                rp = polygon_to_mask(verts, w, h)
+                sum_p[di] += iou(confusion(rp, m))
+    denom = n_scored * trials
+    return sum_b / denom, sum_p / denom
+
+
+@pytest.fixture(scope="module")
+def sweep_masks():
+    """sensitivity-256's masks at seed 1, half of them again with specks,
+    one as a uint8 map of 0 and 2, a 4 x 4 square whose 12-point trace is
+    too short for the 20-point baseline, and two 700^2 shapes, whose nine
+    noisy contours per kind at three deltas and three trials take a stack
+    of eight frames and one of one."""
+    workloads, tracer = bench_workloads()
+    masks = [m for m, _ in workloads.WORKLOADS["sensitivity-256"].make_inputs(1, tracer)]
+    rng = np.random.default_rng(3)
+    masks += [workloads.add_specks(m.copy(), rng) for m in masks[::2]]
+    square = np.zeros((32, 32), dtype=bool)
+    square[10:14, 20:24] = True
+    masks += [masks[1].astype(np.uint8) * 2, square]
+    return masks + [generate_shape(ShapeSpec(kind, 700, 700, 5, 0.5))
+                    for kind in ("blob", "dumbbell")]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_sensitivity_sweep(sweep_masks, trials):
+    for seed, deltas in ((1, [0.0, 1.0, 4.0]), (2, [3.0, 0.0])):
+        curve = sensitivity_sweep(sweep_masks, deltas, trials, seed)
+        bezier, polygon = per_polygon_sweep(sweep_masks, deltas, trials, seed)
+        assert_same(curve.miou_bezier, bezier)
+        assert_same(curve.miou_polygon, polygon)
