@@ -63,7 +63,7 @@ def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
     """Stacked Bernstein basis rows: shape (len(ts), degree+1)."""
     _check_degree(degree)
     ts = np.asarray(ts, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("all parameters must lie in [0, 1]")
     # Two power ladders: t^i ascending and (1-t)^(n-i) descending.
     # Keeps every factor a plain product, stable at t near 0 or 1.

@@ -36,6 +36,9 @@ def test_basis_rejects_bad_args():
         bernstein_basis(3, -0.1)
     with pytest.raises(ValueError):
         bernstein_basis(21, 0.5)
+    for ts in ([np.nan], [0.5, np.nan, 0.25]):
+        with pytest.raises(ValueError):
+            basis_matrix(3, np.array(ts))
 
 
 def test_basis_is_a_row_of_the_basis_matrix():

@@ -9,13 +9,29 @@ from beziermask import (LossValue, SampleSet, contour_loss, decode_jacobian,
                         decode_points, sample_parameters, sampling_matrix, smooth_l1)
 from beziermask.bezier import basis_matrix, sample_segment
 from beziermask.decoder import _loss_samples
-from beziermask.fitting import flatten, unflatten
+from beziermask.fitting import encode_mask, flatten, unflatten
 
 
 def random_contour(seed, width=256, height=256):
     rng = np.random.default_rng(seed)
     vec = rng.uniform(10.0, 240.0, 40)
     return unflatten(vec, width, height)
+
+
+# (ts, segment_ids) pairs that SampleSet must reject up front
+MALFORMED_SAMPLES = {
+    "-1": [([0.5], [-1]), (np.full(3, 0.5), np.array([0, 3, -1]))],
+    "4": [([0.5], [4]), (np.full(3, 0.5), np.array([0, 3, 4]))],
+    "length_mismatch": [(np.full(3, 0.5), np.array([0, 1, 2, 3])),
+                        (np.full(4, 0.5), np.array([0, 1, 2]))],
+    "float_ids": [([0.5, 0.5], [0.5, 1.0]), (np.full(2, 0.5), np.array([0.0, 1.0]))],
+    "bool_ids": [([0.5, 0.5], [True, False])],
+    "2d_ts": [(np.full((2, 2), 0.5), np.array([0, 1])),
+              (np.full((2, 2), 0.5), np.zeros((2, 2), dtype=int))],
+    "nan_t": [([0.5, np.nan], [0, 1]), ([np.nan], [2])],
+    "infinite_t": [([np.inf], [0]), ([0.5, -np.inf], [0, 1])],
+    "t_outside_0_1": [([1.5], [0]), ([0.5, -0.1], [0, 1])],
+}
 
 
 class TestSampleParameters:
@@ -44,14 +60,13 @@ class TestSampleParameters:
         with pytest.raises(ValueError):
             sample_parameters(0, seed=0)
 
-    @pytest.mark.parametrize("bad", [-1, 4])
-    def test_rejects_segment_ids_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            SampleSet(ts=[0.5], segment_ids=[bad])
-        with pytest.raises(ValueError):
-            SampleSet(ts=np.full(3, 0.5), segment_ids=np.array([0, 3, bad]))
-        with pytest.raises(ValueError):
-            sampling_matrix(np.full(3, 0.5), np.array([0, 3, bad]))
+    @pytest.mark.parametrize("cases", MALFORMED_SAMPLES.values(), ids=MALFORMED_SAMPLES.keys())
+    def test_rejects_segment_ids_out_of_range(self, cases):
+        for ts, ids in cases:
+            with pytest.raises(ValueError):
+                SampleSet(ts=ts, segment_ids=ids)
+            with pytest.raises(ValueError):
+                sampling_matrix(ts, ids)
 
 
 class TestDecodePoints:
@@ -111,6 +126,15 @@ class TestJacobian:
         before = decode_points(contour, samples).ravel()
         after = decode_points(moved, samples).ravel()
         assert np.allclose(after - before, J @ delta, atol=1e-10)
+
+    @pytest.mark.parametrize("degree", [3, 9])
+    def test_rejects_other_degrees(self, degree):
+        mask = np.zeros((64, 64), dtype=bool)
+        mask[12:50, 8:40] = True
+        contour, _ = encode_mask(mask, degree)
+        assert contour.degree == degree
+        with pytest.raises(ValueError, match="degree-5"):
+            decode_jacobian(contour, sample_parameters(12, seed=0))
 
     def test_finite_difference_check(self):
         contour = random_contour(6)
@@ -209,6 +233,8 @@ class TestSmoothL1:
     def test_bad_beta_rejected(self):
         with pytest.raises(ValueError):
             smooth_l1(np.zeros(2), np.zeros(2), beta=0.0)
+        with pytest.raises(ValueError):
+            smooth_l1(np.zeros(2), np.zeros(2), beta=np.nan)
 
     @given(st.floats(-3.0, 3.0), st.floats(0.1, 2.0))
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
 """The bounding-box pixel passes, the labelling of row runs, the k-d tree
 Hausdorff distance, the run-length polygon fill, the array contour codec
-and the stacked noise sweep against the code they replaced.
+the stacked noise sweep and the loss's cached sampling operator against
+the code they replaced.
 
 The oracles below are the earlier implementations (full-frame passes
 with ndimage.label, the box-local XOR fill, contours as lists of
 BezierSegments, a sweep that rasterizes and scores one polygon at a
-time), kept verbatim in substance: every output must be equal bit for
+time, a loss that rebuilds its operator on every call), kept verbatim
+in substance: every output must be equal bit for
 bit (values, dtype and shape), and every error of the same type.
 """
 
@@ -13,7 +15,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,10 @@ from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, Contour
                         perturb_contour, polygon_baseline, polygon_to_mask, rasterize_polygon,
                         sample_parameters, scale_contour, sensitivity_sweep, split_boundary,
                         trace_boundary, trace_object, unflatten)
+from beziermask import (SampleSet, contour_loss, decode_jacobian, decoder, sampling_matrix,
+                        smooth_l1)
 from beziermask.bezier import basis_matrix
+from beziermask.decoder import _loss_samples
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
 from beziermask.fitting import RCOND, encode_trace
 from beziermask.experiments import ShapeSpec, generate_shape
@@ -1055,3 +1060,100 @@ def test_sensitivity_sweep(sweep_masks, trials):
         bezier, polygon = per_polygon_sweep(sweep_masks, deltas, trials, seed)
         assert_same(curve.miou_bezier, bezier)
         assert_same(curve.miou_polygon, polygon)
+
+
+# ---------------------------------------------------------------- loss operator
+
+LOSS_KEYS = [(n, seed) for n in (1, 12, 72, 500) for seed in (0, 1, 7)]
+
+
+def rebuilt_operator(samples):
+    """The (n, 20) operator rebuilt from basis_matrix, one sample at a time."""
+    B = basis_matrix(5, samples.ts)
+    A = np.zeros((len(B), 20))
+    for j, k in enumerate(samples.segment_ids):
+        A[j, [k, 4 + 4 * k, 5 + 4 * k, 6 + 4 * k, 7 + 4 * k, (k + 1) % 4]] = B[j]
+    return A
+
+
+def rebuilt_loss(pred, gt, n, seed):
+    """contour_loss with its operator rebuilt on every call and J = kron(A, I_2)."""
+    J = np.kron(rebuilt_operator(sample_parameters(n, seed)), np.eye(2))
+    scale = np.tile([1.0 / pred.width, 1.0 / pred.height], 20)
+    fp, fg = flatten(pred) * scale, flatten(gt) * scale
+    l_ce, g_ce = smooth_l1(fp, fg)
+    l_match, g_match = smooth_l1(J @ fp, J @ fg)
+    return l_ce + l_match, l_ce, l_match, (g_ce + J.T @ g_match) * scale
+
+
+def loss_pairs(seed):
+    """(pred, gt) pairs whose errors fall in both regions of smooth L1."""
+    rng = np.random.default_rng([seed, 12])
+    gt = unflatten(rng.uniform(10.0, 240.0, 40), 256, 200)
+    return [(unflatten(flatten(gt) + rng.normal(0.0, sigma, 40), 256, 200), gt)
+            for sigma in (0.5, 60.0)]
+
+
+def test_loss_operator():
+    """Two rounds over 12 (n, seed) keys: the first fills the loss's cache,
+    the second hits it; every output equals the rebuilt one bit for bit."""
+    for _ in range(2):
+        for n, seed in LOSS_KEYS:
+            samples = sample_parameters(n, seed)
+            A = rebuilt_operator(samples)
+            assert_same(sampling_matrix(samples.ts, samples.segment_ids), A)
+            for pred, gt in loss_pairs(n + seed):
+                for s in (samples, _loss_samples(n, seed)):
+                    J = decode_jacobian(pred, s)
+                    assert J.flags.writeable and J.tobytes() == np.kron(A, np.eye(2)).tobytes()
+                got = contour_loss(pred, gt, n=n, seed=seed)
+                total, l_ce, l_match, gradient = rebuilt_loss(pred, gt, n, seed)
+                assert_same((got.total, got.l_ce, got.l_matching), (total, l_ce, l_match))
+                assert_same(got.gradient, gradient)
+                assert got.gradient.tobytes() == gradient.tobytes()
+
+
+def test_writing_the_loss_operator_leaves_the_loss_alone():
+    pred, gt = loss_pairs(3)[1]
+    before = contour_loss(pred, gt, n=72, seed=0)
+    samples = _loss_samples(72, 0)
+    for out in (decode_jacobian(pred, samples), sampling_matrix(samples.ts, samples.segment_ids)):
+        out[:] = 7.0
+    after = contour_loss(pred, gt, n=72, seed=0)
+    assert (after.total, after.l_ce, after.l_matching) == (before.total, before.l_ce, before.l_matching)
+    assert after.gradient.tobytes() == before.gradient.tobytes()
+
+
+def test_sample_set_is_immutable():
+    ts, ids = np.array([0.1, 0.9, 0.5, 0.0]), np.array([0, 3, 2, 1])
+    built, lazy = SampleSet(ts, ids), SampleSet(ts, ids)
+    expected = rebuilt_operator(built)
+    A = built.operator
+    ts[:], ids[:] = 0.7, 1
+    assert built.operator is A and lazy.operator is lazy.operator
+    for s in (built, lazy):
+        assert_same(s.operator, expected)
+        assert s.ts.tolist() == [0.1, 0.9, 0.5, 0.0] and s.segment_ids.tolist() == [0, 3, 2, 1]
+        for a in (s.ts, s.segment_ids, s.operator):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            s.ts = ts
+
+
+def test_cache_hit_evaluates_no_basis(monkeypatch):
+    pred, gt = loss_pairs(5)[0]
+    first = contour_loss(pred, gt, n=72, seed=0)
+    calls = []
+
+    def counting_basis(*args):
+        calls.append(args)
+        return basis_matrix(*args)
+
+    monkeypatch.setattr(decoder, "basis_matrix", counting_basis)
+    second = contour_loss(pred, gt, n=72, seed=0)
+    assert calls == []
+    assert second.gradient.tobytes() == first.gradient.tobytes()
+    SampleSet([0.5], [0]).operator
+    assert len(calls) == 1
