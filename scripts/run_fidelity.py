@@ -1,34 +1,21 @@
 #!/usr/bin/env python3
-"""Encode/decode fidelity study on the standard synthetic corpus.
+"""Encode/decode fidelity study on the standard synthetic corpus: 200
+blobs, 50 ellipses and 50 dumbbells at 256x256, fitted at degree 5.
 
 Reports per-kind and overall mean IoU plus the mean per-arc fit residual.
 """
 
-import argparse
-
 from beziermask.experiments import ShapeSpec, fidelity_study, generate_shape
+
+# (kind, count, seed of the first mask) of each part of the corpus
+CORPUS = [("blob", 200, 0), ("ellipse", 50, 10_000), ("dumbbell", 50, 20_000)]
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--blobs", type=int, default=200)
-    ap.add_argument("--ellipses", type=int, default=50)
-    ap.add_argument("--dumbbells", type=int, default=50)
-    ap.add_argument("--size", type=int, default=256)
-    ap.add_argument("--degree", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
     all_ious = []
-    for kind, count, base in [("blob", args.blobs, 0),
-                              ("ellipse", args.ellipses, 10_000),
-                              ("dumbbell", args.dumbbells, 20_000)]:
-        if count == 0:
-            continue
-        masks = [generate_shape(ShapeSpec(kind, args.size, args.size,
-                                          args.seed + base + i))
-                 for i in range(count)]
-        res = fidelity_study(masks, degree=args.degree)
+    for kind, count, base in CORPUS:
+        masks = [generate_shape(ShapeSpec(kind, seed=base + i)) for i in range(count)]
+        res = fidelity_study(masks)
         all_ious.extend(res.ious)
         print(f"{kind:9s} n={count:4d} miou={res.miou:.4f} "
               f"siou={res.siou:.4f} residual={res.mean_residual:.3f}px "

@@ -8,9 +8,9 @@ fidelity, gradients and noise sensitivity.
 from .bezier import (BezierSegment, bernstein_basis, elevate_degree,
                      eval_bernstein, eval_de_casteljau, sample_segment)
 from .decoder import (LossValue, SampleSet, contour_loss, decode_jacobian,
-                      decode_points, sample_parameters, sampling_matrix, smooth_l1)
+                      decode_points, sample_parameters, smooth_l1)
 from .experiments import (FidelityResult, SensitivityCurve, ShapeSpec,
-                          blob_corpus, default_corpus, degree_sweep,
+                          blob_corpus, degree_sweep,
                           fidelity_study, generate_shape, perturb_contour,
                           polygon_baseline, sensitivity_sweep)
 from .errors import (BezierMaskError, ContourFormatError, DegenerateShapeError,
@@ -25,6 +25,6 @@ from .mask import (BoundaryTrace, boundary_points, largest_component, load_pgm,
                    trace_boundary, trace_object)
 from .metrics import (ConfusionCounts, DatasetSummary, MetricsReport,
                       compare_masks, confusion, fp_fn_rates, hausdorff, iou,
-                      mcc, summarize, write_metrics_csv)
+                      mcc, summarize)
 
 __version__ = "0.1.0"

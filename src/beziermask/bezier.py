@@ -45,17 +45,11 @@ def _check_degree(degree: int):
         raise ValueError(f"degree must be <= {MAX_DEGREE}, got {degree}")
 
 
-def _check_t(t: float):
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"parameter t must lie in [0, 1], got {t}")
-
-
 def bernstein_basis(degree: int, t: float) -> np.ndarray:
     """All degree-n Bernstein basis values at t, as an (n+1,) array.
 
     b_{n,i}(t) = binom(n, i) (1-t)^(n-i) t^i. Non-negative, sums to 1.
     """
-    _check_t(t)
     return basis_matrix(degree, np.array([t]))[0]
 
 
@@ -88,7 +82,8 @@ def eval_de_casteljau(segment: BezierSegment, t: float) -> np.ndarray:
     Numerically stable construction; agrees with eval_bernstein to
     roundoff.
     """
-    _check_t(t)
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"parameter t must lie in [0, 1], got {t}")
     pts = segment.control_points.copy()
     while len(pts) > 1:
         pts = (1.0 - t) * pts[:-1] + t * pts[1:]
@@ -97,9 +92,6 @@ def eval_de_casteljau(segment: BezierSegment, t: float) -> np.ndarray:
 
 def sample_segment(segment: BezierSegment, ts) -> np.ndarray:
     """Evaluate the segment at each parameter; returns (len(ts), 2)."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return np.empty((0, 2))
     return basis_matrix(segment.degree, ts) @ segment.control_points
 
 
@@ -111,7 +103,6 @@ def elevate_degree(segment: BezierSegment) -> BezierSegment:
     out = np.empty((n + 2, 2))
     out[0] = cp[0]
     out[n + 1] = cp[n]
-    i = np.arange(1, n + 1)[:, None]
-    r = i / (n + 1.0)
-    out[1:n + 1] = r * cp[:-1][i[:, 0] - 1] + (1.0 - r) * cp[1:][i[:, 0] - 1]
+    r = np.arange(1, n + 1)[:, None] / (n + 1.0)
+    out[1:n + 1] = r * cp[:-1] + (1.0 - r) * cp[1:]
     return BezierSegment(out)

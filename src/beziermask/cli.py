@@ -232,7 +232,8 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _fd_gradient(pred, gt, n, seed, step=1e-5):
+def _fd_gradient(pred, gt, n, seed):
+    step = 1e-5
     base = fitting.flatten(pred)
     out = np.empty(40)
     for i in range(40):

@@ -83,14 +83,6 @@ def sample_parameters(n: int, seed: int) -> SampleSet:
     return SampleSet(ts, ids)
 
 
-def sampling_matrix(ts: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
-    """A writable copy of the (n, 20) operator of SampleSet(ts, segment_ids).
-
-    Raises ValueError for samples that SampleSet rejects.
-    """
-    return SampleSet(ts, segment_ids).operator.copy()
-
-
 @lru_cache(maxsize=16)
 def _loss_samples(n: int, seed: int) -> SampleSet:
     return sample_parameters(n, seed)
@@ -118,8 +110,9 @@ def decode_jacobian(contour: PiecewiseContour, samples: SampleSet) -> np.ndarray
     return J.reshape(-1, 40)
 
 
-def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0):
-    """Mean smooth L1 over elements: 0.5 d^2/beta inside |d| < beta, |d| - beta/2 outside.
+def smooth_l1(pred: np.ndarray, target: np.ndarray):
+    """Mean smooth L1 over elements with beta = 1: 0.5 d^2 inside |d| < 1,
+    |d| - 0.5 outside.
 
     Returns (loss, gradient wrt pred).
     """
@@ -127,19 +120,15 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0):
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
     d = pred - target
-    quad = np.abs(d) < beta
-    loss = np.where(quad, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta)
-    grad = np.where(quad, d / beta, np.sign(d))
+    quad = np.abs(d) < 1.0
+    loss = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5)
+    grad = np.where(quad, d, np.sign(d))
     return float(loss.mean()), grad / d.size
 
 
 def contour_loss(pred: PiecewiseContour, gt: PiecewiseContour,
-                 n: int = DEFAULT_NUM_SAMPLES, seed: int = 0,
-                 beta: float = 1.0,
-                 weight_ce: float = 1.0, weight_matching: float = 1.0) -> LossValue:
+                 n: int = DEFAULT_NUM_SAMPLES, seed: int = 0) -> LossValue:
     """Combined regression + point-matching loss with its analytic gradient.
 
     The same (segment, t) set, fixed per (n, seed), is applied to both
@@ -153,12 +142,11 @@ def contour_loss(pred: PiecewiseContour, gt: PiecewiseContour,
 
     scale = np.tile([1.0 / pred.width, 1.0 / pred.height], 20)
     fp, fg = flatten(pred) * scale, flatten(gt) * scale
-    l_ce, g_ce = smooth_l1(fp, fg, beta)
+    l_ce, g_ce = smooth_l1(fp, fg)
 
     # decoding does not mix x and y, so it commutes with the frame scaling
     J = decode_jacobian(pred, _loss_samples(n, index(seed)))
-    l_match, g_match = smooth_l1(J @ fp, J @ fg, beta)
+    l_match, g_match = smooth_l1(J @ fp, J @ fg)
 
-    total = weight_ce * l_ce + weight_matching * l_match
-    grad = (weight_ce * g_ce + weight_matching * (J.T @ g_match)) * scale
-    return LossValue(float(total), float(l_ce), float(l_match), grad)
+    grad = (g_ce + J.T @ g_match) * scale
+    return LossValue(float(l_ce + l_match), float(l_ce), float(l_match), grad)

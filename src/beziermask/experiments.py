@@ -8,7 +8,7 @@ seeds so every study is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,7 @@ class FidelityResult:
     siou: float
     mean_residual: float       # over all arcs of all encoded masks
     ious: np.ndarray
-    residuals: np.ndarray      # (encoded, 4)
-    skipped: int = 0
+    skipped: int
 
 
 @dataclass
@@ -105,22 +104,9 @@ def _draw_polygons(spec: ShapeSpec, rng) -> list:
     return [center - offset + r1 * ring, center + offset + r2 * ring]
 
 
-def default_corpus(seed: int = 0, blobs: int = 200, ellipses: int = 50,
-                   dumbbells: int = 50, width: int = 256, height: int = 256,
-                   scale: float = 0.6) -> list:
-    """The standard 300-mask study corpus (200 blobs + 50 + 50)."""
-    specs = ([ShapeSpec("blob", width, height, seed + i, scale) for i in range(blobs)]
-             + [ShapeSpec("ellipse", width, height, seed + 10_000 + i, scale)
-                for i in range(ellipses)]
-             + [ShapeSpec("dumbbell", width, height, seed + 20_000 + i, scale)
-                for i in range(dumbbells)])
-    return [generate_shape(s) for s in specs]
-
-
-def blob_corpus(count: int, seed: int = 0, width: int = 256, height: int = 256,
-                scale: float = 0.6) -> list:
-    return [generate_shape(ShapeSpec("blob", width, height, seed + i, scale))
-            for i in range(count)]
+def blob_corpus(count: int, seed: int = 0) -> list:
+    """count 256 x 256 blobs at scale 0.6, with seeds seed, seed + 1, ..."""
+    return [generate_shape(ShapeSpec("blob", seed=seed + i)) for i in range(count)]
 
 
 def fidelity_study(masks, degree: int = 5, samples_per_segment: int = 128,
@@ -141,22 +127,17 @@ def fidelity_study(masks, degree: int = 5, samples_per_segment: int = 128,
     if not ious:
         raise DegenerateShapeError("every mask in the corpus was degenerate")
     ious = np.array(ious)
-    residuals = np.array(residuals)
     return FidelityResult(float(ious.mean()), float(ious.std()),
-                          float(residuals.mean()), ious, residuals, skipped)
+                          float(np.mean(residuals)), ious, skipped)
 
 
 def degree_sweep(masks, degrees=(3, 5, 7, 9)) -> dict:
     """Mean per-arc fit residual for each degree, tracing each mask once."""
-    arcs_per_mask = []
-    for m in masks:
-        trace = mask_ops.trace_object(m)
-        extremes = fitting.find_extreme_points(trace)
-        arcs_per_mask.append(fitting.split_boundary(trace, extremes))
+    traced = [(mask_ops.trace_object(m), np.shape(m)) for m in masks]
     out = {}
     for degree in degrees:
-        res = [fitting.fit_arc(arc, degree)[1]
-               for arcs in arcs_per_mask for arc in arcs]
+        res = [fitting.encode_trace(trace, degree, w, h)[1].residuals
+               for trace, (h, w) in traced]
         out[degree] = float(np.mean(res))
     return out
 
@@ -213,9 +194,9 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
         m = np.asarray(m, dtype=bool)
         h, w = m.shape
         trace = mask_ops.trace_object(m)
-        contour, _ = fitting.encode_trace(trace, 5, w, h)
         if len(trace) < points:
             continue
+        contour, _ = fitting.encode_trace(trace, 5, w, h)
         poly20 = polygon_baseline(trace, points)
         n_scored += 1
         bezier, polygon = [], []

@@ -38,18 +38,6 @@ _NEXT = np.array([1, 2, 3, 0])
 
 
 @dataclass
-class ExtremePoints:
-    top: np.ndarray
-    leftmost: np.ndarray
-    bottom: np.ndarray
-    rightmost: np.ndarray
-    indices: tuple  # positions in the source trace, same order
-
-    def as_list(self):
-        return [self.top, self.leftmost, self.bottom, self.rightmost]
-
-
-@dataclass
 class PiecewiseContour:
     """Closed chain of 4 equal-degree segments over a width x height frame.
 
@@ -100,8 +88,8 @@ class FitReport:
     arc_lengths: np.ndarray  # number of boundary points per arc
 
 
-def find_extreme_points(trace: BoundaryTrace) -> ExtremePoints:
-    """Four extremal trace points with corner tie-breaking.
+def find_extreme_points(trace: BoundaryTrace) -> tuple:
+    """Trace indices of the four extremal points with corner tie-breaking.
 
     top: min y then min x; leftmost: min x then max y; bottom: max y
     then max x; rightmost: max x then min y (i.e. the top-left,
@@ -116,24 +104,17 @@ def find_extreme_points(trace: BoundaryTrace) -> ExtremePoints:
         best = np.flatnonzero(primary == primary.min())
         return int(best[np.argmin(secondary[best])])
 
-    i_top = pick(y, x)
-    i_left = pick(x, -y)
-    i_bottom = pick(-y, -x)
-    i_right = pick(-x, y)
-    idx = (i_top, i_left, i_bottom, i_right)
-    return ExtremePoints(pts[i_top].copy(), pts[i_left].copy(),
-                         pts[i_bottom].copy(), pts[i_right].copy(), idx)
+    return pick(y, x), pick(x, -y), pick(-y, -x), pick(-x, y)
 
 
-def split_boundary(trace: BoundaryTrace, extremes: ExtremePoints) -> list:
-    """Cut the closed trace into 4 arcs at the extreme points.
+def split_boundary(trace: BoundaryTrace, idx) -> list:
+    """Cut the closed trace into 4 arcs at the trace indices idx of the
+    extreme points.
 
     Arc k runs from extreme k to extreme k+1 (cyclic), both endpoints
     included, following the trace orientation.
     """
     pts = trace.points
-    m = len(pts)
-    idx = extremes.indices
     arcs = []
     for k in range(4):
         i, j = idx[k], idx[(k + 1) % 4]
@@ -159,8 +140,6 @@ def fit_arc(arc: np.ndarray, degree: int):
     zero-information prior). A 1-point arc collapses to a point.
     """
     arc = np.asarray(arc, dtype=float)
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     if len(arc) == 0:
         raise ValueError("arc must contain at least one point")
     cp, resid = _fit(arc, basis_matrix(degree, _arc_params(len(arc))), degree)
@@ -198,8 +177,7 @@ def encode_trace(trace: BoundaryTrace, degree: int, width: int, height: int):
     keeps its own least-squares solve. Arc k starts and ends on extreme
     points k and k+1, so the junctions chain by construction.
     """
-    extremes = find_extreme_points(trace)
-    arcs = split_boundary(trace, extremes)
+    arcs = split_boundary(trace, find_extreme_points(trace))
     lengths = np.array([len(a) for a in arcs])
     B = basis_matrix(degree, np.concatenate([_arc_params(m) for m in lengths]))
     cp = np.empty((4, degree + 1, 2))

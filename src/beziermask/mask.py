@@ -49,12 +49,13 @@ class BoundaryTrace:
         return len(self.points)
 
 
-def load_pgm(data: bytes, threshold: int = 127) -> np.ndarray:
+def load_pgm(data: bytes) -> np.ndarray:
     """Parse a binary (P5) 8-bit PGM into a boolean mask.
 
-    threshold is on the 0-255 scale: a pixel is foreground iff
-    value / maxval > threshold / 255, so a 0/1 label map (maxval 1)
-    loads like a 0/255 one.
+    A pixel is foreground iff value / maxval > 127 / 255, so a 0/1 label
+    map (maxval 1) loads like a 0/255 one. A header whose maxval is not
+    followed by whitespace, and a pixel value above maxval, raise
+    PgmFormatError.
     """
     if not data.startswith(b"P5"):
         raise PgmFormatError("not a binary PGM (missing P5 magic)")
@@ -72,13 +73,18 @@ def load_pgm(data: bytes, threshold: int = 127) -> np.ndarray:
         raise PgmFormatError(f"bad dimensions {width}x{height}")
     if maxval <= 0 or maxval > 255:
         raise PgmFormatError(f"only 8-bit PGM supported, maxval={maxval}")
-    pos += 1  # single whitespace byte after maxval
+    if pos < len(data) and not data[pos:pos + 1].isspace():
+        raise PgmFormatError("maxval must be followed by one whitespace byte")
+    pos += 1
     if len(data) - pos < width * height:
         raise PgmFormatError("truncated pixel data")
     grid = np.frombuffer(data, np.uint8, count=width * height, offset=pos).reshape(height, width)
-    # for integer values, value * 255 > threshold * maxval exactly when
-    # value > floor(threshold * maxval / 255)
-    return grid > threshold * maxval // 255
+    # a uint8 never exceeds a maxval of 255
+    if maxval < 255 and grid.max() > maxval:
+        raise PgmFormatError(f"pixel value {grid.max()} above maxval {maxval}")
+    # for integer values, value * 255 > 127 * maxval exactly when
+    # value > floor(127 * maxval / 255)
+    return grid > 127 * maxval // 255
 
 
 def save_pgm(mask: np.ndarray) -> bytes:
@@ -124,14 +130,14 @@ def _runs(mask: np.ndarray):
     return box, grid, edges[0::2], edges[1::2]
 
 
-def _label(starts: np.ndarray, stops: np.ndarray, stride: int, reach: int):
-    """(count, labels) of the components of the runs of a grid with rows
-    of `stride` pixels; labels[i] is the component of run i.
+def _label(starts: np.ndarray, stops: np.ndarray, stride: int):
+    """(count, labels) of the 8-connected components of the runs of a grid
+    with rows of `stride` pixels; labels[i] is the component of run i.
 
     Runs in adjacent rows touch when their columns overlap after widening
-    each by `reach`: 1 for 8-connectivity, 0 for 4-connectivity. The runs
-    of the next row that touch run i form the range lo[i]:hi[i]. The runs
-    are joined by a union after Shiloach and Vishkin. Each run hangs from
+    each by one column. The runs of the next row that touch run i form
+    the range lo[i]:hi[i]. The runs are joined by a union after Shiloach
+    and Vishkin. Each run hangs from
     the first run above that touches it; a run that touches none is a
     root, and a box with one root is one component. Otherwise the trees
     are joined in rounds over the touching pairs left out so far: compress
@@ -142,8 +148,8 @@ def _label(starts: np.ndarray, stops: np.ndarray, stride: int, reach: int):
     that order. Besides the two searchsorted calls, each round is a few
     O(runs) array passes.
     """
-    lo = np.searchsorted(stops, starts + (stride - reach), side="right")
-    hi = np.searchsorted(starts, stops + (stride + reach), side="left")
+    lo = np.searchsorted(stops, starts + (stride - 1), side="right")
+    hi = np.searchsorted(starts, stops + (stride + 1), side="left")
     runs = np.arange(len(starts))
     # hi never decreases, so the first run i with hi[i] > j is the first
     # that can touch run j, and it does iff lo[i] <= j
@@ -179,10 +185,10 @@ def _component_count(mask: np.ndarray) -> int:
     if found is None:
         return 0
     _, grid, starts, stops = found
-    return _label(starts, stops, grid.shape[1], 1)[0]
+    return _label(starts, stops, grid.shape[1])[0]
 
 
-def _largest(mask: np.ndarray, reach: int):
+def _largest(mask: np.ndarray):
     """(box, grid, start, size) of the largest component, or None for an
     empty mask: grid is the padded bounding-box grid of _runs holding
     that component only, start the flat grid index of its first pixel
@@ -192,7 +198,7 @@ def _largest(mask: np.ndarray, reach: int):
         return None
     box, grid, starts, stops = found
     lengths = stops - starts
-    count, labels = _label(starts, stops, grid.shape[1], reach)
+    count, labels = _label(starts, stops, grid.shape[1])
     if count == 1:  # the grid is the component
         return box, grid, int(starts[0]), int(lengths.sum())
     # the largest component; of equal sizes, the one whose first pixel
@@ -203,18 +209,17 @@ def _largest(mask: np.ndarray, reach: int):
     return box, grid, int(marks[0]), int(lengths[keep].sum())
 
 
-def largest_component(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
-    """Keep only the largest foreground component (first in scan order on ties).
+def largest_component(mask: np.ndarray) -> np.ndarray:
+    """Keep only the largest 8-connected foreground component (first in
+    scan order on ties).
 
     Labels the row runs of the foreground's bounding box: one pass over
     the box plus a few O(runs) array passes per hooking round, and the
     box's bytes besides the zeroed output frame.
     """
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
     mask = np.asarray(mask, dtype=bool)
     out = np.zeros(mask.shape, dtype=bool)
-    found = _largest(mask, 1 if connectivity == 8 else 0)
+    found = _largest(mask)
     if found is not None:
         box, grid = found[:2]
         out[box] = grid[1:-1, 1:-1]
@@ -280,7 +285,7 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
     if found is None:
         raise EmptyMaskError("cannot trace an empty mask")
     box, grid, starts, stops = found
-    ncomp = _label(starts, stops, grid.shape[1], 1)[0]
+    ncomp = _label(starts, stops, grid.shape[1])[0]
     if ncomp != 1:
         raise DegenerateShapeError(f"expected one component, found {ncomp}")
     return _moore_walk(grid, int(starts[0]), box)
@@ -297,14 +302,14 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     the object has fewer than 4 pixels or its boundary fewer than 4 points.
     """
     mask = np.asarray(mask, dtype=bool)
-    found = _largest(mask, 1)
+    found = _largest(mask)
     if found is None:
         raise EmptyMaskError("cannot encode an empty mask")
     if smooth_radius > 0:
         box, grid = found[:2]
         work = np.zeros(mask.shape, dtype=bool)
         work[box] = grid[1:-1, 1:-1]
-        found = _largest(morphological_smooth(work, smooth_radius), 1) or found
+        found = _largest(morphological_smooth(work, smooth_radius)) or found
     box, grid, start, size = found
     if size < 4:
         raise DegenerateShapeError("object smaller than 4 pixels")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -150,19 +149,12 @@ def summarize(reports) -> DatasetSummary:
     )
 
 
-def csv_rows(ids, reports, summary: DatasetSummary | None = None) -> list:
-    """The rows of write_metrics_csv: a header, one row per image and an
-    optional trailing summary row."""
+def csv_rows(ids, reports, summary: DatasetSummary) -> list:
+    """The rows of the eval metrics CSV: a header, one row per image and a
+    trailing summary row."""
     rows = [["image_id", "iou", "hausdorff", "mcc", "fp_rate", "fn_rate"]]
     rows += [[image_id, r.iou, r.hausdorff, r.mcc, r.fp_rate, r.fn_rate]
              for image_id, r in zip(ids, reports)]
-    if summary is not None:
-        rows.append(["__summary__", summary.miou, summary.mean_hausdorff,
-                     summary.mean_mcc, summary.mean_fp_rate, summary.mean_fn_rate])
+    rows.append(["__summary__", summary.miou, summary.mean_hausdorff,
+                 summary.mean_mcc, summary.mean_fp_rate, summary.mean_fn_rate])
     return rows
-
-
-def write_metrics_csv(path, ids, reports, summary: DatasetSummary | None = None):
-    """Per-image rows plus an optional trailing summary row."""
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerows(csv_rows(ids, reports, summary))

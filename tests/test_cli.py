@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import io
 import json
 import os
 
@@ -130,9 +131,9 @@ class TestDecodeRenderEval:
             contour = fitting.contour_from_json((encoded / f"{stem}.json").read_text())
             poly = fitting.decode_contour(fitting.scale_contour(contour, w, h), 128)
             reports.append(metrics.compare_masks(polygon_to_mask(poly, w, h), gt))
-        want = tmp_path / "want.csv"
-        metrics.write_metrics_csv(want, stems, reports, metrics.summarize(reports))
-        assert out.read_bytes() == want.read_bytes()
+        want = io.StringIO()
+        csv.writer(want).writerows(metrics.csv_rows(stems, reports, metrics.summarize(reports)))
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_eval_write_failing_part_way_keeps_the_old_csv(self, encoded, mask_dir, tmp_path,
                                                            capsys, monkeypatch):

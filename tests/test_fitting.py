@@ -29,34 +29,34 @@ def random_contour(rng, width=256, height=256):
 class TestExtremePoints:
     def test_square_corner_tie_breaks(self):
         tr = trace_boundary(square_mask())
-        ex = find_extreme_points(tr)
-        np.testing.assert_array_equal(ex.top, [2.5, 2.5])        # top-left
-        np.testing.assert_array_equal(ex.leftmost, [2.5, 5.5])   # bottom-left
-        np.testing.assert_array_equal(ex.bottom, [5.5, 5.5])     # bottom-right
-        np.testing.assert_array_equal(ex.rightmost, [5.5, 2.5])  # top-right
+        top, leftmost, bottom, rightmost = tr.points[list(find_extreme_points(tr))]
+        np.testing.assert_array_equal(top, [2.5, 2.5])        # top-left
+        np.testing.assert_array_equal(leftmost, [2.5, 5.5])   # bottom-left
+        np.testing.assert_array_equal(bottom, [5.5, 5.5])     # bottom-right
+        np.testing.assert_array_equal(rightmost, [5.5, 2.5])  # top-right
 
     def test_unique_extremes_on_disc(self, disc_mask):
         tr = trace_boundary(disc_mask)
-        ex = find_extreme_points(tr)
         pts = tr.points
-        assert ex.top[1] == pts[:, 1].min()
-        assert ex.leftmost[0] == pts[:, 0].min()
-        assert ex.bottom[1] == pts[:, 1].max()
-        assert ex.rightmost[0] == pts[:, 0].max()
+        top, leftmost, bottom, rightmost = pts[list(find_extreme_points(tr))]
+        assert top[1] == pts[:, 1].min()
+        assert leftmost[0] == pts[:, 0].min()
+        assert bottom[1] == pts[:, 1].max()
+        assert rightmost[0] == pts[:, 0].max()
 
     def test_matches_exhaustive_scan(self):
         for seed in range(10):
             m = generate_shape(ShapeSpec("blob", 80, 80, seed, 0.6))
             pts = trace_boundary(m).points
-            ex = find_extreme_points(trace_boundary(m))
+            top, leftmost, bottom, rightmost = pts[list(find_extreme_points(trace_boundary(m)))]
             by = sorted(map(tuple, pts), key=lambda p: (p[1], p[0]))
             bx = sorted(map(tuple, pts), key=lambda p: (p[0], -p[1]))
-            assert tuple(ex.top) == by[0]
-            assert tuple(ex.bottom) == max(map(tuple, pts),
-                                           key=lambda p: (p[1], p[0]))
-            assert tuple(ex.leftmost) == bx[0]
-            assert tuple(ex.rightmost) == max(map(tuple, pts),
-                                              key=lambda p: (p[0], -p[1]))
+            assert tuple(top) == by[0]
+            assert tuple(bottom) == max(map(tuple, pts),
+                                        key=lambda p: (p[1], p[0]))
+            assert tuple(leftmost) == bx[0]
+            assert tuple(rightmost) == max(map(tuple, pts),
+                                           key=lambda p: (p[0], -p[1]))
 
     def test_short_trace_raises(self):
         from beziermask.mask import BoundaryTrace
@@ -74,9 +74,9 @@ class TestSplitBoundary:
 
     def test_arc_endpoints_are_extremes(self):
         tr = trace_boundary(square_mask())
-        ex = find_extreme_points(tr)
-        arcs = split_boundary(tr, ex)
-        chain = ex.as_list()
+        idx = find_extreme_points(tr)
+        arcs = split_boundary(tr, idx)
+        chain = tr.points[list(idx)]
         for k, arc in enumerate(arcs):
             np.testing.assert_array_equal(arc[0], chain[k])
             np.testing.assert_array_equal(arc[-1], chain[(k + 1) % 4])

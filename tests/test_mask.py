@@ -28,14 +28,14 @@ def pgm_bytes(grid):
 
 class TestPgm:
     def test_all_foreground(self):
-        m = load_pgm(pgm_bytes(np.full((4, 4), 255)), threshold=127)
+        m = load_pgm(pgm_bytes(np.full((4, 4), 255)))
         assert m.all() and m.shape == (4, 4)
 
     def test_all_background(self):
         assert not load_pgm(pgm_bytes(np.zeros((4, 4)))).any()
 
     def test_threshold_is_strict(self):
-        m = load_pgm(pgm_bytes(np.full((2, 2), 127)), threshold=127)
+        m = load_pgm(pgm_bytes(np.full((2, 2), 127)))
         assert not m.any()
 
     def test_roundtrip(self):
@@ -51,14 +51,12 @@ class TestPgm:
 
     def test_maxval_scales_threshold(self):
         data = b"P5\n3 1\n2\n" + bytes([0, 1, 2])
-        assert load_pgm(data, threshold=127).tolist() == [[False, True, True]]
-        assert load_pgm(data, threshold=128).tolist() == [[False, False, True]]
+        assert load_pgm(data).tolist() == [[False, True, True]]
 
-    @pytest.mark.parametrize("threshold", [0, 1, 127, 200, 254])
+    @pytest.mark.parametrize("threshold", [127])  # the one cut-off, 127/255 of maxval
     def test_maxval_255_is_a_plain_threshold(self, threshold):
         grid = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        np.testing.assert_array_equal(load_pgm(pgm_bytes(grid), threshold),
-                                      grid > threshold)
+        np.testing.assert_array_equal(load_pgm(pgm_bytes(grid)), grid > threshold)
 
     def test_header_comment(self):
         data = b"P5\n# a comment\n3 2\n255\n" + bytes(6)
@@ -67,7 +65,9 @@ class TestPgm:
     @pytest.mark.parametrize("data", [b"P6\n2 2\n255\n" + bytes(4),
                                       b"P5\n2 2\n255\n\x00",
                                       b"P5\n2\n255\n" + bytes(4),
-                                      b"P5\n2 2\n65535\n" + bytes(8)])
+                                      b"P5\n2 2\n65535\n" + bytes(8),
+                                      b"P5\n2 1\n255X" + bytes([255, 255]),
+                                      b"P5\n2 1\n1\n" + bytes([1, 200])])
     def test_malformed(self, data):
         with pytest.raises(PgmFormatError):
             load_pgm(data)

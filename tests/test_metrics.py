@@ -12,11 +12,13 @@ from hypothesis.extra import numpy as hnp
 
 from beziermask import (ConfusionCounts, MetricsReport, compare_masks,
                         confusion, fp_fn_rates, hausdorff, iou, mcc,
-                        summarize, write_metrics_csv)
+                        summarize)
+from beziermask.cli import _write_csv_atomic
 from beziermask.errors import UndefinedMetricError
 from beziermask.experiments import ShapeSpec, generate_shape
 from beziermask.fitting import decode_contour, encode_mask
 from beziermask.mask import polygon_to_mask
+from beziermask.metrics import csv_rows
 
 
 def brute_confusion(pred, gt):
@@ -222,7 +224,7 @@ class TestSummarize:
 def test_write_metrics_csv(tmp_path):
     reps = [MetricsReport(0.9, 1.5, 0.8, 0.01, 0.02)]
     path = tmp_path / "m.csv"
-    write_metrics_csv(path, ["img0"], reps, summarize(reps))
+    _write_csv_atomic(path, csv_rows(["img0"], reps, summarize(reps)))
     rows = list(csv.reader(open(path)))
     assert rows[0][0] == "image_id"
     assert rows[1][0] == "img0" and float(rows[1][1]) == 0.9

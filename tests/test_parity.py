@@ -25,13 +25,12 @@ from scipy.spatial.distance import cdist
 
 from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, ContourFormatError, boundary_points, compare_masks,
                         confusion, contour_from_json, contour_to_json, fp_fn_rates, iou, mcc,
-                        decode_contour, decode_points, encode_mask, find_extreme_points,
-                        fit_arc, flatten, hausdorff, largest_component, morphological_smooth,
+                        decode_contour, decode_points, degree_sweep, encode_mask,
+                        find_extreme_points, fit_arc, flatten, hausdorff, largest_component, morphological_smooth,
                         perturb_contour, polygon_baseline, polygon_to_mask, rasterize_polygon,
                         sample_parameters, scale_contour, sensitivity_sweep, split_boundary,
                         trace_boundary, trace_object, unflatten)
-from beziermask import (SampleSet, contour_loss, decode_jacobian, decoder, sampling_matrix,
-                        smooth_l1)
+from beziermask import SampleSet, contour_loss, decode_jacobian, decoder, smooth_l1
 from beziermask.bezier import basis_matrix
 from beziermask.decoder import _loss_samples
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
@@ -40,16 +39,14 @@ from beziermask.experiments import ShapeSpec, generate_shape
 from beziermask.mask import _component_count, _disc
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
-_STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _MOORE = [(0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)]
 
 
 # ---------------------------------------------------------------- oracles
 
-def full_largest_component(mask, connectivity=8):
+def full_largest_component(mask):
     mask = np.asarray(mask, dtype=bool)
-    structure = _STRUCT_8 if connectivity == 8 else _STRUCT_4
-    labels, count = ndimage.label(mask, structure=structure)
+    labels, count = ndimage.label(mask, structure=_STRUCT_8)
     if count == 0:
         return np.zeros_like(mask)
     sizes = np.bincount(labels.ravel())[1:]
@@ -301,14 +298,14 @@ def list_fit_arc(arc, degree):
 
 def list_encode_trace(trace, degree, width, height):
     """(contour, residuals, arc lengths) from four separate fits."""
-    extremes = find_extreme_points(trace)
-    arcs = split_boundary(trace, extremes)
+    idx = find_extreme_points(trace)
+    arcs = split_boundary(trace, idx)
     segments, residuals = [], np.zeros(4)
     for k, arc in enumerate(arcs):
         seg, residuals[k] = list_fit_arc(arc, degree)
         cp = seg.control_points.copy()
-        cp[0] = extremes.as_list()[k]
-        cp[-1] = extremes.as_list()[(k + 1) % 4]
+        cp[0] = trace.points[idx[k]]
+        cp[-1] = trace.points[idx[(k + 1) % 4]]
         segments.append(BezierSegment(cp))
     return (SegmentContour(segments, width, height), residuals,
             np.array([len(a) for a in arcs]))
@@ -551,10 +548,10 @@ def check_trace_boundary(m):
         assert message(trace_boundary, mask) == message(full_trace_boundary, mask)
 
 
-@pytest.mark.parametrize("connectivity", [8, 4])
+@pytest.mark.parametrize("connectivity", [8])  # foreground is 8-connected only
 def test_largest_component(connectivity):
     for m in MASKS:
-        assert_same(largest_component(m, connectivity), full_largest_component(m, connectivity))
+        assert_same(largest_component(m), full_largest_component(m))
 
 
 def test_trace_boundary():
@@ -603,8 +600,7 @@ def test_labelling_speckled(case):
     """Labelling, the single-component check and tracing on the
     benchmark's kind of input: generated shapes with specks beside."""
     for m in SPECKLED[case]():
-        for connectivity in (8, 4):
-            assert_same(largest_component(m, connectivity), full_largest_component(m, connectivity))
+        assert_same(largest_component(m), full_largest_component(m))
         check_trace_boundary(m)
         for smooth_radius in (0, 1, 2):
             assert_same(outcome(trace_object, m, smooth_radius),
@@ -676,8 +672,7 @@ ADVERSARIAL = {
 def test_labelling_adversarial(case):
     """Labelling where it is hardest: many roots, long merges, nesting."""
     m = ADVERSARIAL[case]
-    for connectivity in (8, 4):
-        assert_same(largest_component(m, connectivity), full_largest_component(m, connectivity))
+    assert_same(largest_component(m), full_largest_component(m))
     assert_same(_component_count(m), ndimage.label(m, structure=_STRUCT_8)[1])
     check_trace_boundary(m)
 
@@ -1062,6 +1057,38 @@ def test_sensitivity_sweep(sweep_masks, trials):
         assert_same(curve.miou_polygon, polygon)
 
 
+# ---------------------------------------------------------------- degree sweep
+
+def per_arc_degree_sweep(masks, degrees):
+    """degree_sweep as it was: every arc of every traced mask fitted on
+    its own by fit_arc, the residuals averaged in mask-then-arc order."""
+    arcs_per_mask = []
+    for m in masks:
+        trace = trace_object(m)
+        arcs_per_mask.append(split_boundary(trace, find_extreme_points(trace)))
+    out = {}
+    for degree in degrees:
+        res = [fit_arc(arc, degree)[1] for arcs in arcs_per_mask for arc in arcs]
+        out[degree] = float(np.mean(res))
+    return out
+
+
+def test_degree_sweep():
+    """Blobs, ellipses and dumbbells in square and 200 x 150 frames, one
+    with a speck beside it, and 16^2 shapes whose arcs are shorter than
+    degree + 1 at the high degrees."""
+    masks = [generate_shape(ShapeSpec(kind, w, h, seed, scale))
+             for kind in ("blob", "ellipse", "dumbbell")
+             for seed, w, h, scale in ((0, 128, 128, 0.6), (1, 200, 150, 0.4), (2, 16, 16, 0.8))]
+    masks[0][0, 0] = True
+    degrees = (1, 2, 3, 5, 9, 12)
+    got = degree_sweep(masks, degrees)
+    want = per_arc_degree_sweep(masks, degrees)
+    assert list(got) == list(degrees)
+    assert [type(v) for v in got.values()] == [float] * len(degrees)
+    assert got == want
+
+
 # ---------------------------------------------------------------- loss operator
 
 LOSS_KEYS = [(n, seed) for n in (1, 12, 72, 500) for seed in (0, 1, 7)]
@@ -1101,7 +1128,7 @@ def test_loss_operator():
         for n, seed in LOSS_KEYS:
             samples = sample_parameters(n, seed)
             A = rebuilt_operator(samples)
-            assert_same(sampling_matrix(samples.ts, samples.segment_ids), A)
+            assert_same(samples.operator, A)
             for pred, gt in loss_pairs(n + seed):
                 for s in (samples, _loss_samples(n, seed)):
                     J = decode_jacobian(pred, s)
@@ -1117,8 +1144,9 @@ def test_writing_the_loss_operator_leaves_the_loss_alone():
     pred, gt = loss_pairs(3)[1]
     before = contour_loss(pred, gt, n=72, seed=0)
     samples = _loss_samples(72, 0)
-    for out in (decode_jacobian(pred, samples), sampling_matrix(samples.ts, samples.segment_ids)):
-        out[:] = 7.0
+    decode_jacobian(pred, samples)[:] = 7.0
+    with pytest.raises(ValueError):
+        samples.operator[:] = 7.0
     after = contour_loss(pred, gt, n=72, seed=0)
     assert (after.total, after.l_ce, after.l_matching) == (before.total, before.l_ce, before.l_matching)
     assert after.gradient.tobytes() == before.gradient.tobytes()
