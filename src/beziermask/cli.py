@@ -118,9 +118,9 @@ def cmd_render(args) -> int:
     contour = _read_contour(args)
     poly = fitting.decode_contour(contour, args.samples)
     img = np.zeros((contour.height, contour.width), dtype=bool)
-    cols = np.clip(np.floor(poly[:, 0]).astype(int), 0, contour.width - 1)
-    rows = np.clip(np.floor(poly[:, 1]).astype(int), 0, contour.height - 1)
-    img[rows, cols] = True
+    x, y = np.floor(poly).T
+    inside = (x >= 0) & (x < contour.width) & (y >= 0) & (y < contour.height)
+    img[y[inside].astype(int), x[inside].astype(int)] = True
     _write_atomic(Path(args.out), mask_ops.save_pgm(img))
     return 0
 

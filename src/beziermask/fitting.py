@@ -114,17 +114,9 @@ def split_boundary(trace: BoundaryTrace, idx) -> list:
     Arc k runs from extreme k to extreme k+1 (cyclic), both endpoints
     included, following the trace orientation.
     """
-    pts = trace.points
-    arcs = []
-    for k in range(4):
-        i, j = idx[k], idx[(k + 1) % 4]
-        if i == j:
-            arcs.append(pts[i:i + 1].copy())
-        elif j > i:
-            arcs.append(pts[i:j + 1].copy())
-        else:
-            arcs.append(np.concatenate([pts[i:], pts[:j + 1]]))
-    return arcs
+    m = len(trace.points)
+    return [trace.points.take(np.arange(i, i + (j - i) % m + 1), axis=0, mode="wrap")
+            for i, j in zip(idx, [*idx[1:], idx[0]])]
 
 
 def fit_arc(arc: np.ndarray, degree: int):
@@ -154,11 +146,8 @@ def _arc_params(m: int) -> np.ndarray:
 def _fit(arc: np.ndarray, B: np.ndarray, degree: int):
     """(degree+1, 2) control points and RMS residual of one arc, given
     the basis rows B of its parameters."""
-    m = len(arc)
-    if m == 1:
-        return np.repeat(arc, degree + 1, axis=0), 0.0
     p0, pn = arc[0], arc[-1]
-    if m < degree + 1:
+    if len(arc) < degree + 1:
         r = np.linspace(0.0, 1.0, degree + 1)[:, None]
         cp = p0 + r * (pn - p0)
         cp[0], cp[-1] = p0, pn

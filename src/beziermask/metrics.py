@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import UndefinedMetricError
 from .mask import _as_2d, _bbox, _boundary
@@ -32,12 +31,10 @@ class MetricsReport:
 @dataclass
 class DatasetSummary:
     miou: float
-    siou: float  # population standard deviation of per-image IoU
     mean_hausdorff: float
     mean_mcc: float
     mean_fp_rate: float
     mean_fn_rate: float
-    count: int
 
 
 def confusion(pred: np.ndarray, gt: np.ndarray) -> ConfusionCounts:
@@ -87,6 +84,8 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     the exact Euclidean ones, equal to those of the all-pairs matrix.
     A NaN or infinite coordinate raises ValueError.
     """
+    from scipy.spatial import cKDTree  # loaded only when a distance is taken
+
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     if len(a) == 0 or len(b) == 0:
@@ -133,19 +132,16 @@ def _union(a, b):
 
 
 def summarize(reports) -> DatasetSummary:
-    """Arithmetic means plus the population std-dev of IoU."""
+    """Arithmetic means of the per-pair metrics."""
     reports = list(reports)
     if not reports:
         raise ValueError("summarize needs at least one report")
-    ious = np.array([r.iou for r in reports])
     return DatasetSummary(
-        miou=float(ious.mean()),
-        siou=float(ious.std()),
+        miou=float(np.mean([r.iou for r in reports])),
         mean_hausdorff=float(np.mean([r.hausdorff for r in reports])),
         mean_mcc=float(np.mean([r.mcc for r in reports])),
         mean_fp_rate=float(np.mean([r.fp_rate for r in reports])),
         mean_fn_rate=float(np.mean([r.fn_rate for r in reports])),
-        count=len(reports),
     )
 
 

@@ -112,6 +112,22 @@ class TestDecodeRenderEval:
         # an outline is sparse compared to the filled shape
         assert outline.sum() < 0.2 * outline.size
 
+    def test_render_stamps_only_vertices_in_the_frame(self, encoded, tmp_path):
+        contour = fitting.contour_from_json((encoded / "blob0.json").read_text())
+        want = np.zeros((contour.height, contour.width), dtype=bool)
+        cols, rows = np.floor(fitting.decode_contour(contour, 128)).astype(int).T
+        want[rows, cols] = True
+        out = tmp_path / "in.pgm"
+        assert run("render", encoded / "blob0.json", "--out", out) == 0
+        assert out.read_bytes() == save_pgm(want)
+        # the same contour moved one frame width to the right draws nothing
+        shifted = fitting.PiecewiseContour(contour.control_points + [contour.width, 0.0],
+                                           contour.width, contour.height)
+        src = tmp_path / "shifted.json"
+        src.write_text(fitting.contour_to_json(shifted))
+        assert run("render", src, "--out", out) == 0
+        assert not read_pgm(out).any()
+
     def test_eval_writes_metrics(self, encoded, mask_dir, tmp_path):
         out = tmp_path / "metrics.csv"
         assert run("eval", "--pred", encoded, "--gt", mask_dir,

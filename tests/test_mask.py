@@ -427,6 +427,13 @@ class TestPolygonToMask:
         np.testing.assert_array_equal(got, want)
         assert peak < 10**5
 
+    def test_subnormal_edge_step_warns_nothing(self):
+        # the slab clip divides by the 1e-310 x step of the first edge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = polygon_to_mask([[1e-310, 1], [0, 30], [100, 10]], 8, 8)
+        assert got.sum() == 56
+
 
 @st.composite
 def polygon_stacks(draw):
@@ -475,3 +482,14 @@ def test_import_leaves_out_scipy_sparse_graphs():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert "scipy.sparse.csgraph" not in out and "scipy.sparse.linalg" not in out
+
+
+def test_import_leaves_out_scipy():
+    """Encoding, decoding and the command line need numpy only: scipy is
+    imported by metrics.hausdorff, when eval takes a distance."""
+    env = dict(os.environ, PYTHONPATH=str(Path(beziermask.__file__).parents[1]))
+    code = ("import sys, beziermask, beziermask.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -212,9 +212,10 @@ class TestSummarize:
                 MetricsReport(0.6, 3.0, 0.7, 0.3, 0.4)]
         s = summarize(reps)
         assert s.miou == pytest.approx(0.5)
-        assert s.siou == pytest.approx(0.1)  # population std of {0.4, 0.6}
         assert s.mean_hausdorff == pytest.approx(2.0)
-        assert s.count == 2
+        assert s.mean_mcc == pytest.approx(0.6)
+        assert s.mean_fp_rate == pytest.approx(0.2)
+        assert s.mean_fn_rate == pytest.approx(0.3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -757,10 +757,49 @@ def test_rasterize_polygon(seed):
                         outcome(full_rasterize_polygon, bad, w, h))
 
 
+def thick_ring(h, w, t):
+    """A frame-filling ring t px thick around its hole."""
+    m = np.ones((h, w), dtype=bool)
+    m[t:-t, t:-t] = False
+    return m
+
+
+def small_disc_and_speck():
+    """A disc of radius 3 that a disc of radius 5 or 8 does not fit into,
+    and a speck in the corner."""
+    m = np.pad(disc(9, 9, 4.5, 4.5, 3), 6)
+    m[0, -1] = True
+    return m
+
+
+# rings with holes, objects on each border, 1 x N and N x 1 frames, and
+# objects that the disc of radius 5 or 8 does not fit into
+SMOOTHING = {
+    "thick_ring_with_hole": np.pad(thick_ring(80, 90, 18), 3),
+    "thin_ring_on_border": thick_ring(30, 24, 4),
+    "rings_with_holes": concentric_rings(8),
+    "disc_with_holes": disc(60, 60, 30, 30, 27) & ~disc(60, 60, 20, 30, 7) & ~disc(60, 60, 40, 34, 5),
+    "on_top_border": disc(60, 70, 35, -4, 24),
+    "on_bottom_border": disc(60, 70, 35, 64, 24),
+    "on_left_border": disc(60, 70, -4, 30, 24),
+    "on_right_border": disc(60, 70, 74, 30, 24),
+    "on_every_border": ~disc(50, 56, 28, 25, 14),
+    "one_by_n": dashes(64),
+    "n_by_one": dashes(64).T.copy(),
+    "one_by_n_full": np.ones((1, 30), dtype=bool),
+    "n_by_one_full": np.ones((30, 1), dtype=bool),
+    "small_disc_and_speck": small_disc_and_speck(),
+}
+
+
 def test_morphological_smooth():
     for i, m in enumerate(MASKS):
         for radius in (i % 4, 1 + i % 3):
             assert_same(morphological_smooth(m, radius), full_morphological_smooth(m, radius))
+    for m in SMOOTHING.values():
+        for radius in (0, 1, 2, 3, 5, 8):
+            assert_same(morphological_smooth(m, radius), full_morphological_smooth(m, radius))
+            assert_same(outcome(trace_object, m, radius), outcome(full_trace_object, m, radius))
     assert_same(outcome(morphological_smooth, MASKS[0], -1),
                 outcome(full_morphological_smooth, MASKS[0], -1))
 
