@@ -192,8 +192,8 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     n_scored = 0
     for i, m in enumerate(masks):
         m = np.asarray(m, dtype=bool)
-        h, w = m.shape
         trace = mask_ops.trace_object(m)
+        h, w = m.shape
         if len(trace) < points:
             continue
         contour, _ = fitting.encode_trace(trace, 5, w, h)

@@ -1,7 +1,8 @@
 """Pixel-domain operations on binary masks.
 
 Masks are boolean numpy arrays of shape (height, width), True for
-foreground. Continuous coordinates use the pixel-center convention:
+foreground; a mask with another number of dimensions raises
+ValueError. Continuous coordinates use the pixel-center convention:
 pixel (row r, col c) sits at (x = c + 0.5, y = r + 0.5), with y growing
 downward. Foreground is 8-connected, background 4-connected.
 
@@ -93,10 +94,18 @@ def load_pgm(data: bytes) -> np.ndarray:
 
 def save_pgm(mask: np.ndarray) -> bytes:
     """Serialize a boolean mask as binary PGM, foreground = 255."""
-    mask = np.asarray(mask, dtype=bool)
+    mask = _as_2d(mask)
     h, w = mask.shape
     header = f"P5\n{w} {h}\n255\n".encode()
     return header + (mask.astype(np.uint8) * 255).tobytes()
+
+
+def _as_2d(mask) -> np.ndarray:
+    """mask as a bool array; ValueError unless it is 2-D."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+    return mask
 
 
 def _bbox(mask: np.ndarray):
@@ -215,7 +224,7 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
     the box plus a few O(runs) array passes per hooking round, and the
     box's bytes besides the zeroed output frame.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = _as_2d(mask)
     out = np.zeros(mask.shape, dtype=bool)
     found = _runs(mask)
     if found is not None:
@@ -234,7 +243,7 @@ def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    mask = np.asarray(mask, dtype=bool)
+    mask = _as_2d(mask)
     out = np.zeros(mask.shape, dtype=bool)
     found = _runs(mask)
     if found is not None:
@@ -291,7 +300,7 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
     bounding box, one pass over the box plus a few O(runs) array passes
     per hooking round, and the walk reads that same grid.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = _as_2d(mask)
     found = _runs(mask)
     if found is None:
         raise EmptyMaskError("cannot trace an empty mask")
@@ -312,7 +321,7 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     Raises EmptyMaskError on an empty mask and DegenerateShapeError when
     the object has fewer than 4 pixels or its boundary fewer than 4 points.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = _as_2d(mask)
     found = _runs(mask)
     if found is None:
         raise EmptyMaskError("cannot encode an empty mask")
@@ -334,45 +343,40 @@ def _moore_walk(grid: np.ndarray, start: int, box) -> BoundaryTrace:
     of the frame to the slices `box` padded by one background pixel,
     from its first pixel in scan order, at flat index `start`.
 
-    The grid is walked as bytes with flat neighbour offsets; every
-    quantity in the loop is a Python int. The walk is a deterministic
-    map on (pixel, backtrack direction) states and stops at the first
-    repeated state, kept as one bit per direction in a byte per pixel.
+    The grid is walked as bytes, every quantity in the loop a Python int,
+    with a table of each backtrack direction's 8 probes in order: a flat
+    offset and the backtrack it leads to. The walk is a deterministic map
+    on (pixel, backtrack) states and stops at the first repeated state,
+    kept as one bit per direction in a byte per pixel; a pixel is kept
+    on its first visit, when its byte is still 0.
     """
     stride = grid.shape[1]
     data = grid.tobytes()
     offsets = [dr * stride + dc for dr, dc in _MOORE]
+    # from the new pixel, the last background probe (d - 1 of the old) is (d & 6) + 6
+    probes = [[(offsets[d & 7], ((d & 6) + 6) & 7) for d in range(b + 1, b + 9)] for b in range(8)]
     cur = start  # the top-left-most pixel: west of it is background
     back = 0
     seen = bytearray(len(data))
     seen[cur] = 1
     pixels = [cur]
     while True:
-        for k in range(1, 9):
-            d = (back + k) & 7
-            if data[cur + offsets[d]]:
+        for off, nb in probes[back]:
+            if data[cur + off]:
                 break
         else:
             break  # an isolated pixel is its own trace
-        cur += offsets[d]
-        # the last background candidate lies in direction d - 1 of the old
-        # pixel, which from the new pixel is direction (d & 6) + 6 (mod 8)
-        back = ((d & 6) + 6) & 7
-        if seen[cur] >> back & 1:
+        cur += off
+        back = nb
+        visits = seen[cur]
+        if visits >> back & 1:
             break
-        seen[cur] |= 1 << back
-        pixels.append(cur)
-    rows, cols = np.divmod(np.fromiter(dict.fromkeys(pixels), dtype=np.intp), stride)
+        if not visits:
+            pixels.append(cur)
+        seen[cur] = visits | 1 << back
+    rows, cols = np.divmod(np.array(pixels), stride)
     points = np.stack([cols + (box[1].start - 1), rows + (box[0].start - 1)], axis=1) + 0.5
     return BoundaryTrace(points)
-
-
-def _as_2d(mask) -> np.ndarray:
-    """mask as a bool array; ValueError unless it is 2-D."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
-    return mask
 
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:

@@ -78,23 +78,56 @@ def fp_fn_rates(counts: ConfusionCounts):
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two finite point sets.
 
-    The larger of the two directed distances, each the farthest of the
-    nearest-neighbour distances found by one k-d tree query pass: time
-    O((N + M) log) for typical sets, memory O(N + M). The distances are
-    the exact Euclidean ones, equal to those of the all-pairs matrix.
-    A NaN or infinite coordinate raises ValueError.
+    Every distance taken is a k-d tree query's, equal to the all-pairs
+    matrix's. Upper bounds on the points' nearest distances skip each
+    query that cannot raise the maximum (after Taha & Hanbury, TPAMI
+    2015): on boundaries, all but a few hundred of some thousands. Time
+    O((N + M) log), memory O(N + M). A NaN or inf raises ValueError.
     """
-    from scipy.spatial import cKDTree  # loaded only when a distance is taken
-
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    a, b = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (a, b))
     if len(a) == 0 or len(b) == 0:
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("Hausdorff distance needs finite coordinates")
+    points = np.concatenate([a, b]).T.copy()  # x and y as contiguous rows
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound costs a query
+        bound = np.minimum(_bracket(points, len(a), 1), _bracket(points, len(a), 0))
+    return float(_farthest(bound[len(a):], b, a, _farthest(bound[:len(a)], a, b, 0.0)))
+
+
+def _bracket(points, n: int, major: int) -> np.ndarray:
+    """Squared distance, summed as dx*dx + dy*dy like the k-d tree's, from
+    each point (x and y rows) to the nearer of the two of the other set (the
+    first n, or the rest) that bracket it in major * (minor range + 2) + minor."""
+    minor = points[1 - major]
+    order = np.argsort(points[major] * (minor.max() - minor.min() + 2) + minor, kind="stable")
+    bound = np.empty(len(order))
+    for mine in (order < n, order >= n):
+        at, other = np.flatnonzero(mine), order[~mine]
+        # the other set's last point before and first after each of this set's
+        near = np.clip(at - np.arange(len(at)) + [[-1], [0]], 0, len(other) - 1)
+        d = points.take(other[near], axis=1) - points.take(order[at], axis=1)[:, None]
+        bound[order[at]] = (d * d).sum(axis=0).min(axis=0)
+    return bound
+
+
+def _farthest(bound, points, other, low: float) -> float:
+    """The larger of `low` and the points' k-d tree distances to `other`;
+    a point whose bound on the squared one has a root <= low is skipped."""
+    from scipy.spatial import cKDTree  # loaded only when a distance is taken
+
+    far = np.flatnonzero(~(np.sqrt(bound) <= low))
+    if far.size == 0:
+        return low
     # a nearest distance does not depend on the tree's shape: midpoint
     # splits build faster, and the queries keep their tight node boxes
-    ab = cKDTree(b, balanced_tree=False).query(a)[0].max()
-    ba = cKDTree(a, balanced_tree=False).query(b)[0].max()
-    return float(max(ab, ba))
+    tree = cKDTree(other, balanced_tree=False)
+    if far.size > 8:  # the 8 largest bounds give a low that skips most points
+        top = far[np.argpartition(bound[far], -8)[-8:]]
+        low = max(low, tree.query(points[top])[0].max())
+        bound[top] = 0.0
+        far = far[~(np.sqrt(bound[far]) <= low)]
+    return max(low, tree.query(points[far])[0].max()) if far.size else low
 
 
 def compare_masks(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
@@ -105,8 +138,8 @@ def compare_masks(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
     Cost: one row scan of each frame finds its foreground's bounding
     box; the counts then take O(union of the two boxes), each mask's
     boundary pixels O(its own box), and the Hausdorff distance
-    O((N + M) log). Memory O(union box) bytes. Masks of different
-    shapes, or not 2-D, raise ValueError.
+    O((N + M) log), querying few points. Memory O(union box) bytes.
+    Masks of different shapes, or not 2-D, raise ValueError.
     """
     pred, gt = _as_2d(pred), _as_2d(gt)
     if pred.shape != gt.shape:

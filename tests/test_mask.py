@@ -14,9 +14,9 @@ from scipy import ndimage
 
 import beziermask
 from beziermask import (DegenerateShapeError, EmptyMaskError, PgmFormatError,
-                        boundary_points, largest_component, load_pgm,
-                        morphological_smooth, polygon_to_mask,
-                        rasterize_polygon, save_pgm, trace_boundary, trace_object)
+                        boundary_points, encode_mask, largest_component, load_pgm,
+                        morphological_smooth, polygon_to_mask, rasterize_polygon,
+                        save_pgm, sensitivity_sweep, trace_boundary, trace_object)
 from beziermask.experiments import ShapeSpec, generate_shape
 
 
@@ -245,6 +245,20 @@ class TestTraceBoundary:
     def test_boundary_points_rejects_masks_not_2d(self, shape):
         with pytest.raises(ValueError, match="mask must be 2-D"):
             boundary_points(np.ones(shape, bool))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 3), (), (0,)])
+    @pytest.mark.parametrize("name", ["largest_component", "morphological_smooth", "trace_boundary",
+                                      "trace_object", "encode_mask", "sensitivity_sweep", "save_pgm"])
+    def test_mask_steps_reject_masks_not_2d(self, name, shape):
+        call = {"largest_component": largest_component,
+                "save_pgm": save_pgm,
+                "morphological_smooth": lambda m: morphological_smooth(m, 1),
+                "trace_boundary": trace_boundary,
+                "trace_object": trace_object,
+                "encode_mask": encode_mask,
+                "sensitivity_sweep": lambda m: sensitivity_sweep([m], [0.0], 1)}[name]
+        with pytest.raises(ValueError, match=r"mask must be 2-D, got shape \("):
+            call(np.ones(shape, bool))
 
     def test_trace_object_memory_is_a_few_bytes_of_the_box(self):
         # labelling and the walk share one padded byte grid of the

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -124,8 +125,31 @@ class TestHausdorff:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            hausdorff(np.array([[bad, 0.0]]), np.zeros((2, 2)))
+        # checked before any arithmetic, so no RuntimeWarning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                hausdorff(np.array([[bad, 0.0]]), np.zeros((2, 2)))
+            for side, value in ((0, bad), (1, -bad)):
+                sets = [np.arange(40.0).reshape(20, 2), np.arange(60.0).reshape(30, 2) + 0.5]
+                sets[side][7, 1] = value
+                with pytest.raises(ValueError, match="finite"):
+                    hausdorff(*sets)
+
+    @pytest.mark.parametrize("a, b, want", [
+        ([[1e300, 0], [0, 1e300]], [[-1e300, 5]], math.inf),           # squares overflow
+        ([[1e300, 0], [1e300, 1]], [[1e300, 3]], 3.0),
+        ([[-1e300, 1e154]], [[-1e300, 0], [-1e300, 1e154]], 1e154),
+        ([[1e-300, 0]], [[0, 0], [0, 1e-300]], 0.0),                   # squares underflow
+        ([[0, 0]], [[3, 4]], 5.0),                                     # 1-point sets
+        ([[0, 0]], [[3, 4], [0, 1], [6, 8]], 10.0),
+        ([[1, 1]] * 5 + [[4, 5]], [[1, 1]] * 3, 5.0),                  # duplicates
+        ([[2, 2]] * 12, [[2, 2]] * 9, 0.0),
+    ])
+    def test_finite_inputs_warn_nothing(self, a, b, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hausdorff(a, b) == hausdorff(b, a) == want
 
     @given(hnp.arrays(float, (5, 2), elements=st.floats(-50, 50)),
            hnp.arrays(float, (7, 2), elements=st.floats(-50, 50)),

@@ -897,6 +897,50 @@ def test_hausdorff():
         assert_same(hausdorff(a, b), cdist_hausdorff(a, b))
     for a, b in ((np.empty((0, 2)), np.zeros((1, 2))), (np.zeros((1, 2)), np.empty((0, 2)))):
         assert_same(outcome(hausdorff, a, b), outcome(cdist_hausdorff, a, b))
+    for a, b in roundtrip_boundaries() + unprunable_pairs() + extreme_magnitudes():
+        assert_same(hausdorff(a, b), cdist_hausdorff(a, b))
+        assert_same(hausdorff(b, a), cdist_hausdorff(b, a))
+
+
+def roundtrip_boundaries():
+    """Boundary pixels of generated masks and of their encode -> decode ->
+    polygon_to_mask rasters, the pairs that eval scores."""
+    pairs = []
+    for size in (64, 128, 256):
+        for i, kind in enumerate(("blob", "ellipse", "dumbbell")):
+            m = generate_shape(ShapeSpec(kind, size, size, size + i, 0.7))
+            contour, _ = encode_mask(m)
+            raster = polygon_to_mask(decode_contour(contour, 128), size, size)
+            pairs.append((boundary_points(raster), boundary_points(m)))
+    return pairs
+
+
+def unprunable_pairs():
+    """Sets on which the bracketing bounds prune less than on boundaries:
+    two clusters 1000 px apart, a set and its 45 degree diagonal offset, a
+    set against one point, and two uniform clouds over one square, where
+    the neighbours in key order are far from the nearest (about half of
+    the points are queried)."""
+    rng = np.random.default_rng(8)
+    cluster = rng.integers(0, 40, (300, 2)) + 0.5
+    ring = 50 * np.stack([np.cos(np.arange(400) * 0.0157), np.sin(np.arange(400) * 0.0157)], axis=1)
+    return [(cluster, cluster + 1000.0), (cluster, rng.normal(0.0, 20.0, (250, 2)) + [700.0, -700.0]),
+            (ring, ring + 3.0), (cluster, cluster + [5.0, 5.0]),
+            (cluster, cluster[:1]), (ring, np.zeros((1, 2))), (cluster[:1] + 1e3, cluster),
+            (rng.random((300, 2)) * 100, rng.random((300, 2)) * 100)]
+
+
+def extreme_magnitudes():
+    """Coordinates of magnitude 1e-300 to 1e300, where keys, bounds or
+    squared distances overflow or underflow."""
+    rng = np.random.default_rng(9)
+    pairs = []
+    for exp in (-300, -150, 150, 300):
+        scale = 10.0 ** exp
+        a = rng.normal(0.0, scale, (60, 2))
+        pairs += [(a, rng.normal(0.0, scale, (40, 2))), (a, a[::-1] + scale * 1e-3),
+                  (a + 3 * scale, a[:5]), (np.array([[scale, -scale]]), a)]
+    return pairs
 
 
 # ---------------------------------------------------------------- contour codec
