@@ -94,18 +94,10 @@ def load_pgm(data: bytes) -> np.ndarray:
 
 def save_pgm(mask: np.ndarray) -> bytes:
     """Serialize a boolean mask as binary PGM, foreground = 255."""
-    mask = _as_2d(mask)
+    mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
     header = f"P5\n{w} {h}\n255\n".encode()
     return header + (mask.astype(np.uint8) * 255).tobytes()
-
-
-def _as_2d(mask) -> np.ndarray:
-    """mask as a bool array; ValueError unless it is 2-D."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
-    return mask
 
 
 def _bbox(mask: np.ndarray):
@@ -377,6 +369,14 @@ def _moore_walk(grid: np.ndarray, start: int, box) -> BoundaryTrace:
     rows, cols = np.divmod(np.array(pixels), stride)
     points = np.stack([cols + (box[1].start - 1), rows + (box[0].start - 1)], axis=1) + 0.5
     return BoundaryTrace(points)
+
+
+def _as_2d(mask) -> np.ndarray:
+    """mask as a bool array; ValueError unless it is 2-D."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+    return mask
 
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:

@@ -248,10 +248,9 @@ class TestTraceBoundary:
 
     @pytest.mark.parametrize("shape", [(5,), (2, 3, 3), (), (0,)])
     @pytest.mark.parametrize("name", ["largest_component", "morphological_smooth", "trace_boundary",
-                                      "trace_object", "encode_mask", "sensitivity_sweep", "save_pgm"])
+                                      "trace_object", "encode_mask", "sensitivity_sweep"])
     def test_mask_steps_reject_masks_not_2d(self, name, shape):
         call = {"largest_component": largest_component,
-                "save_pgm": save_pgm,
                 "morphological_smooth": lambda m: morphological_smooth(m, 1),
                 "trace_boundary": trace_boundary,
                 "trace_object": trace_object,
