@@ -5,8 +5,7 @@ boundary's extreme points, decodes at any resolution, and evaluates
 fidelity, gradients and noise sensitivity.
 """
 
-from .bezier import (BezierSegment, bernstein_basis, elevate_degree,
-                     eval_bernstein, eval_de_casteljau, sample_segment)
+from .bezier import BezierSegment, basis_matrix, eval_de_casteljau
 from .decoder import (LossValue, SampleSet, contour_loss, decode_jacobian,
                       decode_points, sample_parameters, smooth_l1)
 from .experiments import (FidelityResult, SensitivityCurve, ShapeSpec,

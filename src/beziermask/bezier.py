@@ -1,8 +1,8 @@
 """Core Bezier curve mathematics.
 
-A curve of degree n is stored as its n+1 control points. All evaluation
-is done in double precision on (x, y) coordinate pairs; the image
-convention (y grows downward) is irrelevant at this layer.
+A curve of degree n is stored as its n+1 control points and sampled as
+`basis_matrix(n, ts) @ points`, in double precision on (x, y) pairs; the
+image convention (y grows downward) is irrelevant at this layer.
 """
 
 from __future__ import annotations
@@ -38,24 +38,12 @@ class BezierSegment:
         return self.control_points.shape[0] - 1
 
 
-def _check_degree(degree: int):
+def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
+    """Rows b_{n,i}(t) = binom(n, i) (1-t)^(n-i) t^i, one per t: (len(ts), n+1)."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if degree > MAX_DEGREE:
         raise ValueError(f"degree must be <= {MAX_DEGREE}, got {degree}")
-
-
-def bernstein_basis(degree: int, t: float) -> np.ndarray:
-    """All degree-n Bernstein basis values at t, as an (n+1,) array.
-
-    b_{n,i}(t) = binom(n, i) (1-t)^(n-i) t^i. Non-negative, sums to 1.
-    """
-    return basis_matrix(degree, np.array([t]))[0]
-
-
-def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
-    """Stacked Bernstein basis rows: shape (len(ts), degree+1)."""
-    _check_degree(degree)
     ts = np.asarray(ts, dtype=float)
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("all parameters must lie in [0, 1]")
@@ -70,39 +58,12 @@ def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
     return _BINOM[degree] * sp * tp
 
 
-def eval_bernstein(segment: BezierSegment, t: float) -> np.ndarray:
-    """Evaluate B(t) = sum_i b_{n,i}(t) P_i. Returns an (x, y) pair."""
-    b = bernstein_basis(segment.degree, t)
-    return b @ segment.control_points
-
-
 def eval_de_casteljau(segment: BezierSegment, t: float) -> np.ndarray:
-    """Evaluate B(t) by repeated t:(1-t) linear interpolation.
-
-    Numerically stable construction; agrees with eval_bernstein to
-    roundoff.
-    """
+    """Evaluate B(t) by repeated t:(1-t) linear interpolation, an oracle
+    for basis_matrix that shares none of its arithmetic."""
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"parameter t must lie in [0, 1], got {t}")
     pts = segment.control_points.copy()
     while len(pts) > 1:
         pts = (1.0 - t) * pts[:-1] + t * pts[1:]
     return pts[0]
-
-
-def sample_segment(segment: BezierSegment, ts) -> np.ndarray:
-    """Evaluate the segment at each parameter; returns (len(ts), 2)."""
-    return basis_matrix(segment.degree, ts) @ segment.control_points
-
-
-def elevate_degree(segment: BezierSegment) -> BezierSegment:
-    """Rewrite the segment as degree n+1 with the identical trace."""
-    cp = segment.control_points
-    n = segment.degree
-    _check_degree(n + 1)
-    out = np.empty((n + 2, 2))
-    out[0] = cp[0]
-    out[n + 1] = cp[n]
-    r = np.arange(1, n + 1)[:, None] / (n + 1.0)
-    out[1:n + 1] = r * cp[:-1] + (1.0 - r) * cp[1:]
-    return BezierSegment(out)

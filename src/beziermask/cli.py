@@ -132,7 +132,7 @@ def _load_pred(path: Path, gt_shape) -> np.ndarray:
         contour = fitting.contour_from_json(path.read_text())
         h, w = gt_shape
         scaled = fitting.scale_contour(contour, w, h)
-        poly = fitting.decode_contour(scaled, 128)
+        poly = fitting.decode_contour(scaled, fitting.DEFAULT_SAMPLES)
         return mask_ops.polygon_to_mask(poly, w, h)
     return mask_ops.load_pgm(path.read_bytes())
 
@@ -271,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--width", type=int, default=0)
     p.add_argument("--height", type=int, default=0)
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--samples", type=int, default=fitting.DEFAULT_SAMPLES)
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("render", help="draw the contour outline as a PGM")
     p.add_argument("contour")
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--samples", type=int, default=fitting.DEFAULT_SAMPLES)
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("eval", help="score predictions against ground truth masks")
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", help="encode/decode IoU study on synthetic blobs")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--degree", type=int, default=5)
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--samples", type=int, default=fitting.DEFAULT_SAMPLES)
     p.add_argument("--smooth-radius", type=int, default=0)
     p.add_argument("--out", required=True)
     common(p)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fitting, metrics
+from . import fitting
 from . import mask as mask_ops
 from .errors import DegenerateShapeError, EmptyMaskError
 # trace_boundary is not called here but stays a name of this module:
@@ -109,7 +109,8 @@ def blob_corpus(count: int, seed: int = 0) -> list:
     return [generate_shape(ShapeSpec("blob", seed=seed + i)) for i in range(count)]
 
 
-def fidelity_study(masks, degree: int = 5, samples_per_segment: int = 128,
+def fidelity_study(masks, degree: int = 5,
+                   samples_per_segment: int = fitting.DEFAULT_SAMPLES,
                    smooth_radius: int = 0) -> FidelityResult:
     """Encode -> decode -> rasterize each mask and score IoU vs the source."""
     ious, residuals = [], []
@@ -121,8 +122,7 @@ def fidelity_study(masks, degree: int = 5, samples_per_segment: int = 128,
             skipped += 1
             continue
         poly = fitting.decode_contour(contour, samples_per_segment)
-        raster = polygon_to_mask(poly, contour.width, contour.height)
-        ious.append(metrics.iou(metrics.confusion(raster, m)))
+        ious.append(_ious([poly], np.asarray(m, dtype=bool))[0])
         residuals.append(report.residuals)
     if not ious:
         raise DegenerateShapeError("every mask in the corpus was degenerate")
@@ -168,7 +168,7 @@ def polygon_baseline(trace: BoundaryTrace, k: int = 20) -> np.ndarray:
 
 
 def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
-                      samples_per_segment: int = 128,
+                      samples_per_segment: int = fitting.DEFAULT_SAMPLES,
                       points: int = 20) -> SensitivityCurve:
     """Noise robustness of the Bezier encoding vs the k-point polygon.
 

@@ -189,6 +189,10 @@ def encode_mask(mask: np.ndarray, degree: int = 5, smooth_radius: int = 0):
     return encode_trace(trace, degree, w, h)
 
 
+# samples per segment wherever the CLI or a study decodes without being told
+DEFAULT_SAMPLES = 128
+
+
 @lru_cache(maxsize=32)
 def _decode_basis(degree: int, k: int) -> np.ndarray:
     """Read-only (k, degree+1) basis at k uniform parameters."""

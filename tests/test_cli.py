@@ -41,7 +41,8 @@ class TestEncode:
         assert run("encode", mask_dir, "--out", out) == 0
         files = sorted(p.name for p in out.glob("*.json"))
         assert files == [f"blob{i}.json" for i in range(4)]
-        rows = list(csv.reader(open(out / "fit_report.csv")))
+        with open(out / "fit_report.csv") as f:
+            rows = list(csv.reader(f))
         assert len(rows) == 17  # header + 4 arcs per mask
         doc = json.loads((out / "blob0.json").read_text())
         assert doc["width"] == 256 and len(doc["segments"]) == 4
@@ -132,7 +133,8 @@ class TestDecodeRenderEval:
         out = tmp_path / "metrics.csv"
         assert run("eval", "--pred", encoded, "--gt", mask_dir,
                    "--out", out) == 0
-        rows = list(csv.reader(open(out)))
+        with open(out) as f:
+            rows = list(csv.reader(f))
         assert rows[-1][0] == "__summary__"
         assert float(rows[-1][1]) > 0.9  # summary miou
 
@@ -189,7 +191,8 @@ class TestDecodeRenderEval:
         assert run("eval", "--pred", encoded, "--gt", gt_dir, "--out", out) == 1
         err = capsys.readouterr().err
         assert "eval failed: blob1: PgmFormatError: truncated pixel data" in err
-        rows = list(csv.reader(open(out)))
+        with open(out) as f:
+            rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == ["blob0", "blob2", "__summary__"]
         assert float(rows[-1][1]) > 0.9
 
@@ -216,7 +219,8 @@ class TestDecodeRenderEval:
         out = tmp_path / "metrics.csv"
         assert run("eval", "--pred", pred_dir, "--gt", mask_dir, "--out", out) == 1
         assert "eval failed: blob1: ContourFormatError: frame must be" in capsys.readouterr().err
-        rows = list(csv.reader(open(out)))
+        with open(out) as f:
+            rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == ["blob0", "blob2", "blob3", "__summary__"]
 
     @pytest.mark.parametrize("command, option, value", [
@@ -265,14 +269,16 @@ class TestStudies:
     def test_fidelity_command(self, tmp_path):
         out = tmp_path / "fid.csv"
         assert run("fidelity", "--count", "5", "--out", out) == 0
-        rows = list(csv.reader(open(out)))
+        with open(out) as f:
+            rows = list(csv.reader(f))
         assert rows[-1][0] == "__summary__" or len(rows) > 1
 
     def test_sensitivity_command(self, tmp_path):
         out = tmp_path / "sens.csv"
         assert run("sensitivity", "--count", "2", "--deltas", "0,5",
                    "--trials", "2", "--out", out) == 0
-        rows = list(csv.reader(open(out)))
+        with open(out) as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["delta", "representation", "miou", "trials"]
         assert len(rows) == 5  # header + 2 representations x 2 deltas
         bez = {float(r[0]): float(r[2]) for r in rows[1:] if r[1] == "bezier"}
@@ -282,7 +288,8 @@ class TestStudies:
         out = tmp_path / "deg.csv"
         assert run("degree-sweep", "--count", "3", "--degrees", "3,5",
                    "--out", out) == 0
-        rows = list(csv.reader(open(out)))
+        with open(out) as f:
+            rows = list(csv.reader(f))
         assert len(rows) == 3
         assert float(rows[1][1]) > float(rows[2][1])
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beziermask import (BezierSegment, ContourFormatError, DegenerateShapeError,
-                        EmptyMaskError, contour_from_json, contour_to_json,
-                        decode_contour, encode_mask, find_extreme_points,
-                        fit_arc, flatten, polygon_to_mask, sample_segment,
+from beziermask import (BezierMaskError, BezierSegment, ContourFormatError,
+                        DegenerateShapeError, EmptyMaskError, basis_matrix, contour_from_json,
+                        contour_to_json, decode_contour, encode_mask,
+                        find_extreme_points, fit_arc, flatten, polygon_to_mask,
                         scale_contour, split_boundary, trace_boundary,
                         unflatten)
 from beziermask.experiments import ShapeSpec, generate_shape
@@ -103,7 +105,7 @@ class TestFitArc:
         ts = np.linspace(0, 1, 50)
         for _ in range(20):
             seg = BezierSegment(rng.uniform(0, 200, (6, 2)))
-            arc = sample_segment(seg, ts)
+            arc = basis_matrix(5, ts) @ seg.control_points
             got, resid = fit_arc(arc, 5)
             assert np.abs(got.control_points - seg.control_points).max() < 1e-9
             assert resid < 1e-9
@@ -147,7 +149,6 @@ class TestFitArc:
 
 
 def _ssr(cp, arc):
-    from beziermask.bezier import basis_matrix
     ts = np.arange(len(arc)) / (len(arc) - 1.0)
     fitted = basis_matrix(len(cp) - 1, ts) @ cp
     return float(np.sum((fitted - arc) ** 2))
@@ -204,6 +205,65 @@ class TestEncodeDecode:
         contour, _ = encode_mask(blob_masks[0], smooth_radius=1)
         raster = polygon_to_mask(decode_contour(contour, 128), 256, 256)
         assert mask_iou(raster, blob_masks[0]) >= 0.9
+
+
+@st.composite
+def adversarial_masks(draw):
+    """(mask, smooth_radius): frames down to 1 x N and N x 1 holding 1-px
+    lines, objects of 1-4 px, rectangles that may touch the border or
+    have a hole, and scattered pixels, in any overlap."""
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    w, h = draw(st.sampled_from([(w, h), (1, h), (w, 1)]))
+    m = np.zeros((h, w), bool)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["row", "column", "diagonal", "speck",
+                                     "rect", "ring", "pixels"]))
+        y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        y1 = draw(st.sampled_from([draw(st.integers(y0, h - 1)), h - 1]))
+        x1 = draw(st.sampled_from([draw(st.integers(x0, w - 1)), w - 1]))
+        if kind == "row":
+            m[y0, x0:x1 + 1] = True
+        elif kind == "column":
+            m[y0:y1 + 1, x0] = True
+        elif kind == "diagonal":
+            k = np.arange(min(y1 - y0, x1 - x0) + 1)
+            m[y0 + k, x0 + k] = True
+        elif kind == "speck":      # 1-4 px within a 2 x 2 box, clipped
+            for dy, dx in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                        min_size=1, max_size=4)):
+                m[min(y0 + dy, h - 1), min(x0 + dx, w - 1)] = True
+        elif kind == "rect":
+            m[y0:y1 + 1, x0:x1 + 1] = True
+        elif kind == "ring":       # a hole whenever the box is 3 x 3 or more
+            m[y0:y1 + 1, x0:x1 + 1] = True
+            m[y0 + 1:y1, x0 + 1:x1] = False
+        else:
+            for y, x in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
+                                      max_size=12)):
+                m[y, x] = True
+    return m, draw(st.integers(0, 2))
+
+
+class TestAdversarialMasks:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(adversarial_masks())
+    def test_encodes_exactly_or_raises_a_typed_error(self, case):
+        m, radius = case
+        h, w = m.shape
+        try:
+            contour, report = encode_mask(m, smooth_radius=radius)
+        except BezierMaskError:
+            return
+        assert (contour.width, contour.height) == (w, h)
+        assert np.all(np.isfinite(report.residuals))
+        text = contour_to_json(contour)
+        back = contour_from_json(text)
+        np.testing.assert_array_equal(back.control_points, contour.control_points)
+        assert contour_to_json(back) == text
+        again = unflatten(flatten(contour), w, h)
+        np.testing.assert_array_equal(again.control_points, contour.control_points)
+        raster = polygon_to_mask(decode_contour(contour, 16), w, h)
+        assert raster.shape == (h, w) and raster.dtype == bool
 
 
 class TestDecodeContour:

@@ -250,7 +250,8 @@ def test_write_metrics_csv(tmp_path):
     reps = [MetricsReport(0.9, 1.5, 0.8, 0.01, 0.02)]
     path = tmp_path / "m.csv"
     _write_csv_atomic(path, csv_rows(["img0"], reps, summarize(reps)))
-    rows = list(csv.reader(open(path)))
+    with open(path) as f:
+        rows = list(csv.reader(f))
     assert rows[0][0] == "image_id"
     assert rows[1][0] == "img0" and float(rows[1][1]) == 0.9
     assert rows[2][0] == "__summary__"
