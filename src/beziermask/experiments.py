@@ -202,8 +202,10 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
         bezier, polygon = [], []
         for di, delta in enumerate(deltas):
             for t in range(trials):
-                s = np.random.SeedSequence([seed, i, di, t])
-                s_bez, s_poly = s.spawn(2)
+                # the two children SeedSequence(key).spawn(2) would give
+                key = [seed, i, di, t]
+                s_bez = np.random.SeedSequence(key, spawn_key=(0,))
+                s_poly = np.random.SeedSequence(key, spawn_key=(1,))
                 noisy = perturb_contour(contour, delta, s_bez)
                 bezier.append(fitting.decode_contour(noisy, samples_per_segment))
                 rng = np.random.default_rng(s_poly)

@@ -206,6 +206,29 @@ class TestSamplingMatrix:
         assert after.total == before.total
         assert np.array_equal(after.gradient, before.gradient)
 
+    @pytest.mark.parametrize("n", [1, 12, 72, 500])
+    def test_cached_jacobian_is_the_read_only_kron(self, n):
+        samples = sample_parameters(n, seed=n)
+        J = samples.jacobian
+        assert samples.jacobian is J
+        assert not J.flags.writeable
+        with pytest.raises(ValueError):
+            J[0, 0] = 7.0
+        assert J.tobytes() == np.kron(samples.operator, np.eye(2)).tobytes()
+
+    def test_decode_jacobian_returns_fresh_copies(self):
+        contour = random_contour(15)
+        samples = sample_parameters(72, seed=2)
+        first = decode_jacobian(contour, samples)
+        second = decode_jacobian(contour, samples)
+        for J in (first, second):
+            assert J.flags.writeable
+            assert not np.shares_memory(J, samples.jacobian)
+        assert not np.shares_memory(first, second)
+        first[:] = 7.0
+        third = decode_jacobian(contour, samples)
+        assert third.tobytes() == second.tobytes() == samples.jacobian.tobytes()
+
 
 class TestSmoothL1:
     def test_quadratic_region(self):
@@ -226,6 +249,11 @@ class TestSmoothL1:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             smooth_l1(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (3, 0)])
+    def test_empty_inputs_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one element"):
+            smooth_l1(np.zeros(shape), np.zeros(shape))
 
     @given(st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)

@@ -1,14 +1,15 @@
 """The bounding-box pixel passes, the labelling of row runs, the k-d tree
 Hausdorff distance, the run-length polygon fill, the array contour codec
-the stacked noise sweep and the loss's cached sampling operator against
-the code they replaced.
+the stacked noise sweep, the loss's cached sampling operator and its
+smooth L1 against the code they replaced.
 
 The oracles below are the earlier implementations (full-frame passes
 with ndimage.label, the box-local XOR fill, contours as lists of
 BezierSegments, a sweep that rasterizes and scores one polygon at a
-time, a loss that rebuilds its operator on every call), kept verbatim
-in substance: every output must be equal bit for
-bit (values, dtype and shape), and every error of the same type.
+time, a loss that rebuilds its operator on every call, a smooth L1
+built from where and sign), kept verbatim in substance: every output
+must be equal bit for bit (values, dtype and shape), and every error of
+the same type.
 """
 
 import json
@@ -1251,6 +1252,43 @@ def test_sample_set_is_immutable():
                 a[0] = 0
         with pytest.raises(FrozenInstanceError):
             s.ts = ts
+
+
+def where_smooth_l1(pred, target):
+    """smooth_l1 with its gradient as where(|d| < 1, d, sign(d)) and its loss
+    as a mean."""
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    d = pred - target
+    quad = np.abs(d) < 1.0
+    loss = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5)
+    grad = np.where(quad, d, np.sign(d))
+    return float(loss.mean()), grad / d.size
+
+
+SMOOTH_L1_SPECIALS = np.array([s * v for v in (0.0, 0.5, 1.0, np.nextafter(1.0, 0.0), np.inf, 5e-324, 1e308)
+                               for s in (1.0, -1.0)] + [np.nan])
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (40,), (144,), (20, 2)])
+def test_smooth_l1(shape):
+    """Random differences on both sides of |d| = 1, with every special value
+    mixed into either argument, in both argument orders."""
+    rng = np.random.default_rng([len(shape), *shape])
+    for _ in range(200):
+        a, b = rng.normal(0.0, 1.5, shape), rng.normal(0.0, 1.5, shape)
+        for x in (a, b):
+            x[...] = np.where(rng.random(shape) < 0.3, rng.choice(SMOOTH_L1_SPECIALS, shape), x)
+        for pred, target in ((a, b), (b, a)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = smooth_l1(pred, target), where_smooth_l1(pred, target)
+            assert type(got[0]) is type(want[0]) is float
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert type(got[1]) is type(want[1])
+            assert_same(np.asarray(got[1]), np.asarray(want[1]))
+            assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
 
 
 def test_cache_hit_evaluates_no_basis(monkeypatch):
