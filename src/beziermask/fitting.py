@@ -2,8 +2,10 @@
 
 The boundary is split at its four extreme points (top, leftmost,
 bottom, rightmost) into four arcs; each arc is fitted with a fixed-
-endpoint Bezier curve by linear least squares. A degree-5 contour has
-4 extreme points + 16 interior control points = 40 free reals.
+endpoint Bezier curve by linear least squares. The arcs are gathered
+from the trace in one take and share one basis and one right-hand
+side; each keeps its own lstsq. A degree-5 contour has 4 extreme
+points + 16 interior control points = 40 free reals.
 
 A contour is one (4, d+1, 2) array of control points plus its frame;
 `PiecewiseContour.segments` derives BezierSegment views of its rows.
@@ -31,9 +33,10 @@ RCOND = 1e-10
 
 # flatten-layout indices of segment k's points: extreme k, 4 interior, extreme k+1
 _SEGMENT_POINTS = np.array([[k, *range(4 + 4 * k, 8 + 4 * k), (k + 1) % 4] for k in range(4)])
-# rows of control_points.reshape(24, 2) that flatten reads: the start of
-# each segment, then each segment's interior points
-_FLAT_ROWS = np.r_[0:24:6, [6 * k + j for k in range(4) for j in range(1, 5)]]
+# flat indices into a degree-5 control_points array that flatten reads:
+# the start of each segment, then each segment's interior points, x then y
+_FLAT_INDEX = (2 * np.r_[0:24:6, [6 * k + j for k in range(4) for j in range(1, 5)]][:, None]
+               + [0, 1]).ravel()
 _NEXT = np.array([1, 2, 3, 0])
 
 
@@ -125,54 +128,63 @@ def fit_arc(arc: np.ndarray, degree: int):
     Boundary point i gets parameter t_i = i / (m - 1). The first and
     last control points are the arc endpoints; the interior ones solve
     the linear system with the endpoint columns moved to the right-hand
-    side. Returns (BezierSegment, RMS residual in pixels).
+    side. Returns (BezierSegment, RMS residual in pixels): encode_trace's
+    fit, with its one lstsq, on one arc.
 
     Arcs with fewer than degree+1 points skip the solve: interior
     control points are placed uniformly along the endpoint chord (the
     zero-information prior). A 1-point arc collapses to a point.
     """
     arc = np.asarray(arc, dtype=float)
-    if len(arc) == 0:
-        raise ValueError("arc must contain at least one point")
-    cp, resid = _fit(arc, basis_matrix(degree, _arc_params(len(arc))), degree)
-    return BezierSegment(cp), resid
+    if arc.ndim != 2 or arc.shape[1] != 2 or len(arc) == 0:
+        raise ValueError(f"arc must be an (m, 2) array with m >= 1, got shape {arc.shape}")
+    cp, resid = _fit_arcs(arc, np.zeros(1, dtype=int), np.array([len(arc)]), degree)
+    return BezierSegment(cp[0]), float(resid[0])
 
 
-def _arc_params(m: int) -> np.ndarray:
-    """t_i = i / (m - 1) for an m-point arc; [0] for a single point."""
-    return np.arange(m) / max(m - 1.0, 1.0)
+def _fit_arcs(points: np.ndarray, starts: np.ndarray, lengths: np.ndarray, degree: int):
+    """(K, degree+1, 2) control points and (K,) RMS residuals of the K arcs
+    points[starts[k]:starts[k] + lengths[k]], indices wrapping.
 
-
-def _fit(arc: np.ndarray, B: np.ndarray, degree: int):
-    """(degree+1, 2) control points and RMS residual of one arc, given
-    the basis rows B of its parameters."""
-    p0, pn = arc[0], arc[-1]
-    if len(arc) < degree + 1:
-        r = np.linspace(0.0, 1.0, degree + 1)[:, None]
-        cp = p0 + r * (pn - p0)
-        cp[0], cp[-1] = p0, pn
-    else:
-        rhs = arc - np.outer(B[:, 0], p0) - np.outer(B[:, degree], pn)
-        interior, *_ = np.linalg.lstsq(B[:, 1:degree], rhs, rcond=RCOND)
-        cp = np.vstack([p0, interior, pn])
-    resid = float(np.sqrt(np.mean(np.sum((B @ cp - arc) ** 2, axis=1))))
-    return cp, resid
+    One gather of the arcs' points, one basis over all their parameters
+    and one right-hand side. Each arc keeps its own lstsq, or the chord
+    prior when shorter than degree+1 points, and its own mean, as one
+    batched solve or sum would change the last bits; it writes its
+    curve's points into one residual array.
+    """
+    ends = np.cumsum(lengths)
+    firsts = ends - lengths
+    local = np.arange(ends[-1]) - np.repeat(firsts, lengths)
+    P = points.take(local + np.repeat(starts, lengths), axis=0, mode="wrap")
+    B = basis_matrix(degree, local / np.repeat(np.maximum(lengths - 1.0, 1.0), lengths))
+    cp = np.empty((len(lengths), degree + 1, 2))
+    cp[:, 0], cp[:, -1] = P[firsts], P[ends - 1]
+    rhs = (P - B[:, :1] * np.repeat(cp[:, 0], lengths, axis=0)
+           - B[:, degree:] * np.repeat(cp[:, -1], lengths, axis=0))
+    fitted = np.empty_like(P)
+    for k, (i, j) in enumerate(zip(firsts, ends)):
+        if j - i < degree + 1:
+            r = np.linspace(0.0, 1.0, degree + 1)[1:-1, None]
+            cp[k, 1:-1] = cp[k, 0] + r * (cp[k, -1] - cp[k, 0])
+        else:
+            cp[k, 1:-1] = np.linalg.lstsq(B[i:j, 1:degree], rhs[i:j], rcond=RCOND)[0]
+        np.matmul(B[i:j], cp[k], out=fitted[i:j])
+    fitted -= P
+    fitted *= fitted
+    sq = fitted.sum(axis=1)
+    return cp, np.sqrt([np.add.reduce(sq[i:j]) for i, j in zip(firsts, ends)] / lengths)
 
 
 def encode_trace(trace: BoundaryTrace, degree: int, width: int, height: int):
     """Fit a closed piecewise contour to an already-traced boundary.
 
-    One basis is evaluated over the four arcs' parameters; each arc
-    keeps its own least-squares solve. Arc k starts and ends on extreme
-    points k and k+1, so the junctions chain by construction.
+    The four arcs are gathered from the trace in one take and share one
+    basis; each arc keeps its own lstsq. Arc k starts and ends on
+    extreme points k and k+1, so the junctions chain by construction.
     """
-    arcs = split_boundary(trace, find_extreme_points(trace))
-    lengths = np.array([len(a) for a in arcs])
-    B = basis_matrix(degree, np.concatenate([_arc_params(m) for m in lengths]))
-    cp = np.empty((4, degree + 1, 2))
-    residuals = np.zeros(4)
-    for k, (arc, rows) in enumerate(zip(arcs, np.split(B, np.cumsum(lengths[:-1])))):
-        cp[k], residuals[k] = _fit(arc, rows, degree)
+    starts = np.array(find_extreme_points(trace))
+    lengths = (starts[_NEXT] - starts) % len(trace.points) + 1
+    cp, residuals = _fit_arcs(trace.points, starts, lengths, degree)
     return PiecewiseContour(cp, width, height), FitReport(residuals, lengths)
 
 
@@ -223,7 +235,7 @@ def flatten(contour: PiecewiseContour) -> np.ndarray:
     """
     if contour.degree != 5:
         raise ContourFormatError("flatten requires a degree-5 contour")
-    return contour.control_points.reshape(24, 2)[_FLAT_ROWS].ravel()
+    return contour.control_points.take(_FLAT_INDEX)
 
 
 def unflatten(vec: np.ndarray, width: int, height: int) -> PiecewiseContour:

@@ -260,10 +260,13 @@ def _smooth(starts: np.ndarray, stops: np.ndarray, stride: int, radius: int):
     for grow, depth in ((-half, 2 * radius + 1), (half, 1), (half, 1), (-half, 2 * radius + 1)):
         lo, hi = starts + shift - grow, stops + shift + grow
         kept = lo < hi
-        lo, hi = lo[kept], hi[kept]
-        keys, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        step = np.bincount(at, np.repeat([1, -1], lo.size), keys.size)
-        marks = keys[np.diff(np.cumsum(step) >= depth, prepend=False)]
+        # a start is the even event 2 lo, a stop the odd 2 hi + 1: one sort
+        # orders them, and the cover after each key's last event is kept
+        events = np.sort(np.concatenate([2 * lo[kept], 2 * hi[kept] + 1]))
+        keys = events >> 1
+        last = np.diff(keys, append=keys[-1:] + 1) != 0
+        cover = np.cumsum(1 - 2 * (events & 1))[last]
+        marks = keys[last][np.diff(cover >= depth, prepend=False)]
         starts, stops = marks[0::2], marks[1::2]
     lift = starts // wide * (2 * radius) + radius
     return starts - lift, stops - lift

@@ -83,12 +83,32 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     query that cannot raise the maximum (after Taha & Hanbury, TPAMI
     2015): on boundaries, all but a few hundred of some thousands. Time
     O((N + M) log), memory O(N + M). A NaN or inf raises ValueError.
+
+    Squared distances must stay within the doubles: sets whose largest
+    |coordinate| is below 2^-500, and sets whose distance overflows, are
+    scaled by the power of two that brings that coordinate into [1, 2),
+    and the distance is scaled back, exactly. Every other input takes the
+    unscaled path. Tiny distances hidden by huge coordinates stay
+    inexact: beside a coordinate above 2^-500, a distance below about
+    2^-537 reads as 0 (1e-200 beside 1e300, say).
     """
     a, b = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (a, b))
     if len(a) == 0 or len(b) == 0:
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    top = np.max([np.abs(a).max(), np.abs(b).max()])
+    if not np.isfinite(top):
         raise ValueError("Hausdorff distance needs finite coordinates")
+    if top == 0.0 or top >= 2.0 ** -500:
+        d = _hausdorff(a, b)
+        if d < math.inf:
+            return d
+    # squares would underflow, or overflowed: take the distance on both
+    # sets scaled by the power of two that brings top into [1, 2)
+    k = 1 - math.frexp(top)[1]
+    return _hausdorff(np.ldexp(a, k), np.ldexp(b, k)) * 2.0 ** -k
+
+
+def _hausdorff(a, b) -> float:
     points = np.concatenate([a, b]).T.copy()  # x and y as contiguous rows
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound costs a query
         bound = np.minimum(_bracket(points, len(a), 1), _bracket(points, len(a), 0))

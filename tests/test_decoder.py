@@ -272,6 +272,9 @@ class TestContourLoss:
             lv = contour_loss(contour, contour, n=n, seed=n)
             assert isinstance(lv, LossValue)
             assert lv.total == 0.0 and lv.l_ce == 0.0 and lv.l_matching == 0.0
+            # +0.0, not -0.0, by its bytes
+            assert [np.float64(v).tobytes() for v in (lv.total, lv.l_ce, lv.l_matching)] == \
+                [np.float64(0.0).tobytes()] * 3
             assert not np.any(lv.gradient)
 
     def test_seeds_draw_different_samples(self):

@@ -128,6 +128,11 @@ class TestFitArc:
         np.testing.assert_allclose(seg.control_points,
                                    arc[0] + np.linspace(0, 1, 6)[:, None] * chord)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2,), (3, 3), (8, 1), (2, 2, 2)])
+    def test_malformed_arcs_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"arc must be an \(m, 2\) array"):
+            fit_arc(np.zeros(shape), 5)
+
     def test_single_point_collapses(self):
         seg, resid = fit_arc(np.array([[3.0, 4.0]]), 5)
         np.testing.assert_array_equal(seg.control_points, np.full((6, 2), [3.0, 4.0]))

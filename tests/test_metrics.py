@@ -137,14 +137,20 @@ class TestHausdorff:
                     hausdorff(*sets)
 
     @pytest.mark.parametrize("a, b, want", [
-        ([[1e300, 0], [0, 1e300]], [[-1e300, 5]], math.inf),           # squares overflow
+        ([[1e300, 0], [0, 1e300]], [[-1e300, 5]], 2e300),              # squares would overflow
         ([[1e300, 0], [1e300, 1]], [[1e300, 3]], 3.0),
         ([[-1e300, 1e154]], [[-1e300, 0], [-1e300, 1e154]], 1e154),
-        ([[1e-300, 0]], [[0, 0], [0, 1e-300]], 0.0),                   # squares underflow
+        ([[1e-300, 0]], [[0, 0], [0, 1e-300]], math.hypot(1e-300, 1e-300)),  # squares would underflow
         ([[0, 0]], [[3, 4]], 5.0),                                     # 1-point sets
         ([[0, 0]], [[3, 4], [0, 1], [6, 8]], 10.0),
         ([[1, 1]] * 5 + [[4, 5]], [[1, 1]] * 3, 5.0),                  # duplicates
         ([[2, 2]] * 12, [[2, 2]] * 9, 0.0),
+        ([[1e300, 0]], [[-1e300, 0]], 2e300),
+        ([[1e-300, 0]], [[0, 0]], 1e-300),
+        ([[3 * 2.0 ** 600, 4 * 2.0 ** 600]], [[0, 0]], 5 * 2.0 ** 600),
+        ([[3 * 2.0 ** -600, 4 * 2.0 ** -600]], [[0, 0]], 5 * 2.0 ** -600),
+        ([[1e300, 0], [0, 0]], [[1e300, 0], [1e100, 0]], 1e100),       # no square overflows
+        ([[1e308, 0]], [[-1e308, 0]], math.inf),                       # beyond the doubles
     ])
     def test_finite_inputs_warn_nothing(self, a, b, want):
         with warnings.catch_warnings():

@@ -32,7 +32,7 @@ from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, Contour
                         sample_parameters, scale_contour, sensitivity_sweep, split_boundary,
                         trace_boundary, trace_object, unflatten)
 from beziermask import SampleSet, contour_loss, decode_jacobian, decoder, smooth_l1
-from beziermask.bezier import basis_matrix
+from beziermask.bezier import MAX_DEGREE, basis_matrix
 from beziermask.decoder import _loss_samples
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
 from beziermask.fitting import RCOND, encode_trace
@@ -234,7 +234,13 @@ def cdist_hausdorff(a, b):
     if len(a) == 0 or len(b) == 0:
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
     d = cdist(a, b)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    hd = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    top = max(np.abs(a).max(), np.abs(b).max())
+    if 0.0 < top < 2.0 ** -500 or hd == math.inf:
+        # squares would leave the doubles' range: scale by a power of two
+        k = 1 - math.frexp(top)[1]
+        return cdist_hausdorff(np.ldexp(a, k), np.ldexp(b, k)) * 2.0 ** -k
+    return hd
 
 
 def full_compare_masks(pred, gt):
@@ -959,9 +965,23 @@ def assert_same_contour(got, want):
     assert contour_to_json(got) == list_contour_to_json(want)
 
 
+def short_arc_masks():
+    """1-px lines in four directions and 2 x 2 squares, alone in their frame
+    or padded: every arc, or all but one, is shorter than degree + 1."""
+    masks = []
+    for n in range(4, 13):
+        line = np.zeros((n, n), dtype=bool)
+        line[n // 2] = True
+        diagonal = np.eye(n, dtype=bool)
+        masks += [line, line.T, diagonal, diagonal[::-1]]
+    square = np.ones((2, 2), dtype=bool)
+    return masks + [square, np.pad(square, 1), np.pad(square, ((0, 3), (2, 1)))]
+
+
 ENCODE_CASES = {
-    "oracle_masks": lambda: [(m, d) for m in MASKS for d in (1, 3, 5, 9)],
+    "oracle_masks": lambda: [(m, d) for m in MASKS for d in (1, 3, 5, 9, MAX_DEGREE)],
     "encode_256": lambda: [(m, 5) for m in bench_encode_corpus()],
+    "short_arcs": lambda: [(m, d) for m in short_arc_masks() for d in (1, 5, MAX_DEGREE)],
 }
 
 
@@ -984,7 +1004,8 @@ def test_encode_trace(case):
         assert_same_contour(contour, want[0])
         assert_same(report.residuals, want[1])
         assert_same(report.arc_lengths, want[2])
-        for arc in split_boundary(trace, find_extreme_points(trace)):
+        arcs = split_boundary(trace, find_extreme_points(trace))
+        for arc in arcs + [trace.points[:m] for m in (1, 2, degree, degree + 1)]:
             seg, resid = fit_arc(arc, degree)
             want_seg, want_resid = list_fit_arc(arc, degree)
             assert seg.control_points.tobytes() == want_seg.control_points.tobytes()
@@ -1275,20 +1296,25 @@ SMOOTH_L1_SPECIALS = np.array([s * v for v in (0.0, 0.5, 1.0, np.nextafter(1.0, 
 @pytest.mark.parametrize("shape", [(), (1,), (40,), (144,), (20, 2)])
 def test_smooth_l1(shape):
     """Random differences on both sides of |d| = 1, with every special value
-    mixed into either argument, in both argument orders."""
+    mixed into either argument, in both argument orders, and differences
+    that are all one signed zero or all NaN."""
     rng = np.random.default_rng([len(shape), *shape])
+    pairs = []
     for _ in range(200):
         a, b = rng.normal(0.0, 1.5, shape), rng.normal(0.0, 1.5, shape)
         for x in (a, b):
             x[...] = np.where(rng.random(shape) < 0.3, rng.choice(SMOOTH_L1_SPECIALS, shape), x)
-        for pred, target in ((a, b), (b, a)):
-            with np.errstate(invalid="ignore", over="ignore"):
-                got, want = smooth_l1(pred, target), where_smooth_l1(pred, target)
-            assert type(got[0]) is type(want[0]) is float
-            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-            assert type(got[1]) is type(want[1])
-            assert_same(np.asarray(got[1]), np.asarray(want[1]))
-            assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
+        pairs += [(a, b), (b, a)]
+    # differences all +0, all -0 and all NaN, from inf - inf with its sign bit set
+    pairs += [(np.full(shape, p), np.full(shape, t)) for p, t in ((0.0, 0.0), (-0.0, 0.0), (np.inf, np.inf))]
+    for pred, target in pairs:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = smooth_l1(pred, target), where_smooth_l1(pred, target)
+        assert type(got[0]) is type(want[0]) is float
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert type(got[1]) is type(want[1])
+        assert_same(np.asarray(got[1]), np.asarray(want[1]))
+        assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
 
 
 def test_cache_hit_evaluates_no_basis(monkeypatch):
