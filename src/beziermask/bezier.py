@@ -47,15 +47,15 @@ def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
         raise ValueError("all parameters must lie in [0, 1]")
-    # Two power ladders: t^i ascending and (1-t)^(n-i) descending.
-    # Keeps every factor a plain product, stable at t near 0 or 1.
+    # Two power ladders as contiguous rows: t^i ascending and (1-t)^(n-i)
+    # descending. Keeps every factor a plain product, stable at t near 0 or 1.
     s = 1.0 - ts
-    tp = np.ones((ts.size, degree + 1))
-    sp = np.ones((ts.size, degree + 1))
+    tp = np.ones((degree + 1, ts.size))
+    sp = np.ones((degree + 1, ts.size))
     for i in range(1, degree + 1):
-        tp[:, i] = tp[:, i - 1] * ts
-        sp[:, degree - i] = sp[:, degree - i + 1] * s
-    return _BINOM[degree] * sp * tp
+        tp[i] = tp[i - 1] * ts
+        sp[degree - i] = sp[degree - i + 1] * s
+    return np.ascontiguousarray((_BINOM[degree][:, None] * sp * tp).T)
 
 
 def eval_de_casteljau(segment: BezierSegment, t: float) -> np.ndarray:

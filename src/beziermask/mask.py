@@ -20,14 +20,15 @@ disc row and widened by its half-width, an erosion is where all the runs
 moved by each row and shrunk by its half-width meet, and each is one
 np.unique of the runs' ends and a cumsum: O(runs * radius * log) time.
 Polygons are filled from runs too: the sorted crossings of the
-pixel-centre rows cut the crossings' bounding box into runs of
-alternating parity, so a fill costs O(crossings * log(crossings) + that
-box) time and the box's bytes besides the output frame. A (B, n, 2)
-stack of polygons is filled and outlined by the same numpy calls as one
-polygon, into (B, height, width) frames: each polygon gets the union of
-all the crossings' boxes, and each slice equals the single-polygon
-raster bit for bit. experiments.sensitivity_sweep rasterizes its noisy
-contours in such stacks of at most 4 MiB of frames.
+pixel-centre rows cut the output frames, in raster order, into runs of
+alternating parity, so a fill costs O(crossings * log(crossings) +
+frames) time and O(crossings) bytes besides the output frames; every
+frame byte is written, even for a small object on a large frame. A
+(B, n, 2) stack of polygons is filled and outlined by the same numpy
+calls as one polygon, into (B, height, width) frames, and each slice
+equals the single-polygon raster bit for bit. The noise sweep of
+experiments.sensitivity_sweep rasterizes in such stacks of at most
+4 MiB of frames.
 """
 
 from __future__ import annotations
@@ -423,11 +424,11 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     edge crosses the rows whose center y lies in [ymin, ymax), so a
     shared vertex is counted once and horizontal edges never; a crossing
     at x flips the parity of every pixel in its row whose center is >= x.
-    The sorted crossings of the whole stack split B copies of the box
-    that bounds them all, one per polygon, into runs of alternating
-    parity, written by one np.repeat. Time is O(crossings *
-    log(crossings) + B * that box) besides zeroing the output frames;
-    memory is B boxes' bytes plus the frames'.
+    The sorted crossings of the whole stack split the B frames, in
+    raster order, into runs of alternating parity, written by one
+    np.repeat. Time is O(crossings * log(crossings) + B * frame), and
+    every frame byte is written even for a small object on a large
+    frame; memory is the output frames plus O(crossings).
     """
     a, b, single = _polygon(vertices, width, height)
     out = _fill(a, b, width, height)
@@ -463,32 +464,22 @@ def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
     edges, rows = _expand(first, last)
     t = (ys[rows] - y1[edges]) / (y2 - y1)[edges]
     xs = x1[edges] + t * (x2 - x1)[edges]
-    # first pixel center >= xs; column `width` flips nothing in the frame
+    # first pixel center >= xs, or `width` when there is none
     cols = np.searchsorted(np.arange(width) + 0.5, xs, side="left")
-
-    out = np.zeros((count, height, width), dtype=bool)
-    if rows.size == 0:
-        return out
-    # outside the crossings' rows and columns the parity is 0: fill that
-    # box of every polygon in raster order, each crossing a flat position
-    # where it flips
-    r0, c0 = int(rows.min()), int(cols.min())
-    bh, bw = int(rows.max()) + 1 - r0, int(cols.max()) + 1 - c0
-    rows = edges // sides * bh + (rows - r0)    # row in the stacked boxes
-    marks = rows * bw + (cols - c0)
+    # fill the B stacked frames in raster order, each crossing a flat
+    # position where the parity flips. A crossing at col == width flips
+    # nothing in its row and lands on the next row's first position; that
+    # is right because, with the reset marks below, every row holds an
+    # even number of marks, so every row starts at parity 0
+    rows = edges // sides * height + rows    # row in the stacked frames
+    marks = rows * width + cols
     # a NaN vertex can leave a row crossed an odd number of times: one more
-    # mark at its end resets the parity for the next row, and in the frame
-    # that row stays 1 up to the right edge
-    odd = np.flatnonzero(np.bincount(rows, minlength=count * bh) & 1)
-    if odd.size:
-        marks = np.concatenate([marks, (odd + 1) * bw])
+    # mark at its end resets the parity for the next row, and that row
+    # stays 1 up to the right edge
+    odd = np.flatnonzero(np.bincount(rows, minlength=count * height) & 1)
+    marks = np.concatenate([marks, (odd + 1) * width])
     marks.sort()
-    box = _alternating(marks, count * bh * bw).reshape(count, bh, bw)
-    c1 = min(c0 + bw, width)
-    out[:, r0:r0 + bh, c0:c1] = box[:, :, :c1 - c0]
-    if odd.size:
-        out[odd // bh, odd % bh + r0, c1:] = True
-    return out
+    return _alternating(marks, count * height * width).reshape(count, height, width)
 
 
 def _grid(starts: np.ndarray, stops: np.ndarray, shape) -> np.ndarray:
@@ -532,9 +523,10 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     stack lies outside the frame widened by one pixel, each edge is
     clipped to that widened frame, and one more k is taken on each side,
     so the work is bounded by the frame and not by the coordinates. Time
-    is O(crossings * log(crossings) + B * the crossings' bounding box +
-    perimeter in the frame) besides zeroing the output frames; memory is
-    B boxes' bytes plus the frames'.
+    is O(crossings * log(crossings) + B * frame + perimeter in the
+    frame), the B * frame paid even for a small object on a large frame;
+    memory is the output frames plus O(crossings + perimeter in the
+    frame).
     """
     a, b, single = _polygon(vertices, width, height)
     out = _fill(a, b, width, height)

@@ -421,6 +421,16 @@ class TestPolygonToMask:
             tracemalloc.stop()
         assert out.sum() > 0.2 * size * size
         assert peak < 4 * size * size
+        # the fill writes its output frames directly, so besides them it
+        # holds only O(crossings) bytes, alone and as a stack
+        for stack in (verts, np.stack([verts] * 3)):
+            tracemalloc.start()
+            try:
+                out = rasterize_polygon(stack, size, size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * out.size
 
     def test_far_vertices_cost_what_the_frame_costs(self):
         # unclipped, these 1e12-px edges would need 4e12 outline points; in

@@ -875,12 +875,27 @@ def decoded(size):
     return nan_y(polygons, rng)
 
 
+def small_on_large():
+    """Contours of small generated shapes on large frames, with noise up
+    to 40 px: crossings that cover a small part of the frame."""
+    rng = np.random.default_rng(14)
+    polygons = []
+    for size in (2048, 4096):
+        for i, (kind, scale) in enumerate((("blob", 0.02), ("ellipse", 0.05), ("dumbbell", 0.1))):
+            contour, _ = encode_mask(generate_shape(ShapeSpec(kind, size, size, i, scale)))
+            for delta in (0.0, 2.0, 10.0, 40.0):
+                poly = decode_contour(perturb_contour(contour, delta, i), 128)
+                polygons.append((poly, size, size))
+    return nan_y(polygons, rng)
+
+
 POLYGON_CASES = {
     "random_half_integer_off_frame": random_polygons,
     "right_of_frame": right_of_frame,
     "thin_frames": thin_frames,
     "decoded_256": lambda: decoded(256),
     "decoded_2048": lambda: decoded(2048),
+    "small_on_large": small_on_large,
 }
 
 
