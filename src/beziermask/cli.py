@@ -42,14 +42,15 @@ def _write_csv_atomic(path: Path, rows):
     _write_atomic(path, buf.getvalue().encode())
 
 
-def _collect_inputs(paths, suffix: str) -> list:
-    out = []
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            out.extend(sorted(p.glob(f"*{suffix}")))
-        else:
-            out.append(p)
+def _collect_inputs(paths, suffix: str) -> dict:
+    """Stem -> path of each file named and of each `suffix` file in each
+    directory named. Two paths with one stem raise BezierMaskError, since
+    their outputs or their pairing would depend on the order of work."""
+    out = {}
+    for p in map(Path, paths):
+        for f in sorted(p.glob(f"*{suffix}")) if p.is_dir() else [p]:
+            if out.setdefault(f.stem, f) != f:
+                raise BezierMaskError(f"inputs {out[f.stem]} and {f} share the stem {f.stem!r}")
     return out
 
 
@@ -76,7 +77,7 @@ def _encode_one(args):
 
 
 def cmd_encode(args) -> int:
-    inputs = _collect_inputs(args.inputs, ".pgm")
+    inputs = _collect_inputs(args.inputs, ".pgm").values()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     work = [(str(p), args.degree, args.smooth_radius, str(out_dir)) for p in inputs]
@@ -138,10 +139,9 @@ def _load_pred(path: Path, gt_shape) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    preds = {p.stem: p for p in _collect_inputs(args.pred, ".pgm")}
-    for p in _collect_inputs(args.pred, ".json"):
-        preds.setdefault(p.stem, p)
-    gts = {p.stem: p for p in _collect_inputs(args.gt, ".pgm")}
+    # a .pgm prediction wins over a .json one with the same stem
+    preds = {**_collect_inputs(args.pred, ".json"), **_collect_inputs(args.pred, ".pgm")}
+    gts = _collect_inputs(args.gt, ".pgm")
     stems = sorted(preds.keys() & gts.keys())
     for stem in sorted(preds.keys() ^ gts.keys()):
         print(f"unmatched stem skipped: {stem}", file=sys.stderr)
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic loss gradients")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--n-loss-samples", type=int, default=72)
+    p.add_argument("--n-loss-samples", type=int, default=decoder.DEFAULT_NUM_SAMPLES)
     common(p)
     p.set_defaults(fn=cmd_gradcheck)
 

@@ -257,17 +257,31 @@ def contour_to_json(contour: PiecewiseContour) -> str:
     })
 
 
+def _whole(doc: dict, key: str) -> int:
+    """doc[key] as an int if it is a whole number: 64 or 64.0, not 64.9 or true."""
+    v = doc[key]
+    if type(v) is int or type(v) is float and v.is_integer():
+        return int(v)
+    raise ContourFormatError(f"{key} must be a whole number, got {v!r}")
+
+
 def contour_from_json(text: str) -> PiecewiseContour:
-    """Parse and validate interchange JSON (closure enforced on read)."""
+    """Parse and validate interchange JSON (closure enforced on read):
+    version, width, height and degree are whole numbers, and degree
+    matches the points per segment."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ContourFormatError(f"invalid JSON: {e}") from e
     try:
-        if doc["version"] != 1:
+        if _whole(doc, "version") != 1:
             raise ContourFormatError(f"unsupported version {doc['version']}")
         cp = np.array([s["control_points"] for s in doc["segments"]], dtype=float)
-        return PiecewiseContour(cp, int(doc["width"]), int(doc["height"]))
+        contour = PiecewiseContour(cp, _whole(doc, "width"), _whole(doc, "height"))
+        if _whole(doc, "degree") != contour.degree:
+            raise ContourFormatError(
+                f"degree {doc['degree']} but {contour.degree + 1} points per segment")
+        return contour
     except (KeyError, TypeError, ValueError) as e:
         raise ContourFormatError(f"bad contour document: {e}") from e
 

@@ -55,33 +55,28 @@ class BoundaryTrace:
         return len(self.points)
 
 
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"(?:\s|\Z)")
+
+
 def load_pgm(data: bytes) -> np.ndarray:
     """Parse a binary (P5) 8-bit PGM into a boolean mask.
 
-    A pixel is foreground iff value / maxval > 127 / 255, so a 0/1 label
-    map (maxval 1) loads like a 0/255 one. A header whose maxval is not
-    followed by whitespace, and a pixel value above maxval, raise
-    PgmFormatError.
+    The header (_PGM_HEADER) is `P5`, then width, height and maxval, each
+    after one or more whitespace bytes or '#' comments (each through the
+    next newline) in any order, then one whitespace byte before the
+    pixels. A digit right after `P5`, a comment right after maxval and a
+    pixel value above maxval raise PgmFormatError. A pixel is foreground
+    iff value / maxval > 127 / 255, so a 0/1 label map loads like 0/255.
     """
-    if not data.startswith(b"P5"):
-        raise PgmFormatError("not a binary PGM (missing P5 magic)")
-    # Header tokens may be separated by whitespace and '#' comments.
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        m = re.compile(rb"\s*(?:#[^\n]*\n)*\s*(\d+)").match(data, pos)
-        if m is None:
-            raise PgmFormatError("truncated or malformed PGM header")
-        fields.append(int(m.group(1)))
-        pos = m.end()
-    width, height, maxval = fields
+    m = _PGM_HEADER.match(data)
+    if m is None:
+        raise PgmFormatError("not a binary PGM with a well-formed P5 header")
+    width, height, maxval = map(int, m.groups())
     if width < 1 or height < 1:
         raise PgmFormatError(f"bad dimensions {width}x{height}")
     if maxval <= 0 or maxval > 255:
         raise PgmFormatError(f"only 8-bit PGM supported, maxval={maxval}")
-    if pos < len(data) and not data[pos:pos + 1].isspace():
-        raise PgmFormatError("maxval must be followed by one whitespace byte")
-    pos += 1
+    pos = m.end()
     if len(data) - pos < width * height:
         raise PgmFormatError("truncated pixel data")
     grid = np.frombuffer(data, np.uint8, count=width * height, offset=pos).reshape(height, width)

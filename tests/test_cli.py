@@ -59,6 +59,19 @@ class TestEncode:
         for p in sorted(out1.glob("*")):
             assert p.read_bytes() == (out2 / p.name).read_bytes()
 
+    def test_duplicate_stems_are_an_error(self, blob_masks, tmp_path, capsys):
+        """Two inputs named blob_0000.pgm: which contour lands in
+        blob_0000.json would depend on the order of the workers."""
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d, m in zip(dirs, blob_masks):
+            d.mkdir()
+            write_pgm(d / "blob_0000.pgm", m)
+        out = tmp_path / "enc"
+        assert run("encode", *dirs, "--out", out, "--jobs", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: inputs ") and "share the stem 'blob_0000'" in err
+        assert not out.exists()
+
 
 class TestDecodeRenderEval:
     @pytest.fixture
@@ -195,6 +208,37 @@ class TestDecodeRenderEval:
             rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == ["blob0", "blob2", "__summary__"]
         assert float(rows[-1][1]) > 0.9
+
+    @pytest.mark.parametrize("option", ["--gt", "--pred"])
+    def test_eval_duplicate_stems_are_an_error(self, encoded, mask_dir, tmp_path, capsys,
+                                               option):
+        """A second directory holding another blob0: which one is scored
+        would depend on the order of the arguments."""
+        other = tmp_path / "other"
+        other.mkdir()
+        if option == "--gt":
+            (other / "blob0.pgm").write_bytes((mask_dir / "blob1.pgm").read_bytes())
+            pred, gt = [encoded], [mask_dir, other]
+        else:
+            (other / "blob0.json").write_text((encoded / "blob1.json").read_text())
+            pred, gt = [encoded, other], [mask_dir]
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--pred", *pred, "--gt", *gt, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: inputs ") and "share the stem 'blob0'" in err
+        assert not out.exists()
+
+    def test_eval_pgm_prediction_wins_over_json(self, encoded, mask_dir, tmp_path):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        for i in range(4):
+            (pred_dir / f"blob{i}.json").write_text((encoded / f"blob{i}.json").read_text())
+        (pred_dir / "blob2.pgm").write_bytes((mask_dir / "blob2.pgm").read_bytes())
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--pred", pred_dir, "--gt", mask_dir, "--out", out) == 0
+        with open(out) as f:
+            rows = {r[0]: r for r in csv.reader(f)}
+        assert float(rows["blob2"][1]) == 1.0 and float(rows["blob1"][1]) < 1.0
 
     @pytest.mark.parametrize("frame", [{"width": 0}, {"height": -3}])
     def test_zero_size_frame_is_an_error(self, encoded, tmp_path, capsys, frame):

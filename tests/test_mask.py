@@ -62,12 +62,25 @@ class TestPgm:
         data = b"P5\n# a comment\n3 2\n255\n" + bytes(6)
         assert load_pgm(data).shape == (2, 3)
 
+    @pytest.mark.parametrize("header", [b"P5\n# a\n\n# b\n3 2\n255\n",
+                                        b"P5\n# a\n  # b\n3 2\n255\n",
+                                        b"P5 3#c\n2 255\n",
+                                        b"P5\t#\n\x0b3\r\n# c\n\x0c2 #\n 255\r"],
+                             ids=["blank-line-between-comments", "indented-comment",
+                                  "comment-alone", "every-kind"])
+    def test_separators_interleave(self, header):
+        """Whitespace and comments separate the fields in any order."""
+        grid = np.array([[0, 200, 0], [255, 0, 128]], np.uint8)
+        np.testing.assert_array_equal(load_pgm(header + grid.tobytes()), grid > 127)
+
     @pytest.mark.parametrize("data", [b"P6\n2 2\n255\n" + bytes(4),
                                       b"P5\n2 2\n255\n\x00",
                                       b"P5\n2\n255\n" + bytes(4),
                                       b"P5\n2 2\n65535\n" + bytes(8),
                                       b"P5\n2 1\n255X" + bytes([255, 255]),
-                                      b"P5\n2 1\n1\n" + bytes([1, 200])])
+                                      b"P5\n2 1\n1\n" + bytes([1, 200]),
+                                      b"P52 1\n255\n\x00\xff",
+                                      b"P5\n2 1\n255#c\n" + bytes(2)])
     def test_malformed(self, data):
         with pytest.raises(PgmFormatError):
             load_pgm(data)

@@ -1,19 +1,23 @@
 """The bounding-box pixel passes, the labelling of row runs, the k-d tree
 Hausdorff distance, the run-length polygon fill, the array contour codec
-the stacked noise sweep, the loss's cached sampling operator and its
-smooth L1 against the code they replaced.
+the stacked noise sweep, the loss's cached sampling operator, its
+smooth L1 and the PGM header grammar against the code they replaced.
 
 The oracles below are the earlier implementations (full-frame passes
 with ndimage.label, the box-local XOR fill, contours as lists of
 BezierSegments, a sweep that rasterizes and scores one polygon at a
 time, a loss that rebuilds its operator on every call, a smooth L1
-built from where and sign), kept verbatim in substance: every output
-must be equal bit for bit (values, dtype and shape), and every error of
-the same type.
+built from where and sign, a token loop over the PGM header), kept
+verbatim in substance: every output must be equal bit for bit (values,
+dtype and shape), and every error of the same type. The exceptions are
+inputs that the old code loaded wrongly or rejected wrongly; the tests
+that hold them say which.
 """
 
 import json
 import math
+import random
+import re
 import struct
 import sys
 from dataclasses import FrozenInstanceError, dataclass
@@ -31,10 +35,10 @@ from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, Contour
                         perturb_contour, polygon_baseline, polygon_to_mask, rasterize_polygon,
                         sample_parameters, scale_contour, sensitivity_sweep, split_boundary,
                         trace_boundary, trace_object, unflatten)
-from beziermask import SampleSet, contour_loss, decode_jacobian, decoder, smooth_l1
+from beziermask import SampleSet, contour_loss, decode_jacobian, decoder, load_pgm, smooth_l1
 from beziermask.bezier import MAX_DEGREE, basis_matrix
 from beziermask.decoder import _loss_samples
-from beziermask.errors import DegenerateShapeError, EmptyMaskError, UndefinedMetricError
+from beziermask.errors import DegenerateShapeError, EmptyMaskError, PgmFormatError, UndefinedMetricError
 from beziermask.fitting import RCOND, encode_trace
 from beziermask.experiments import ShapeSpec, generate_shape
 from beziermask.mask import _component_count, _disc
@@ -1115,6 +1119,28 @@ def test_zero_size_frame_is_rejected(frame):
     assert outcome(scale_contour, contour_from_json(good), *frame) is ContourFormatError
 
 
+INEXACT_FIELDS = {"width_64.9": {"width": 64.9}, "height_47.5": {"height": 47.5},
+                  "width_true": {"width": True}, "width_string": {"width": "64"},
+                  "degree_3": {"degree": 3}, "version_true": {"version": True}}
+
+
+@pytest.mark.parametrize("name", sorted(INEXACT_FIELDS))
+def test_inexact_fields_are_rejected(name):
+    """The list contour loaded these as another frame size, another degree
+    or version 1."""
+    good = contour_to_json(unflatten(np.arange(40.0), 64, 48))
+    text = malformed(good, lambda d: d.update(INEXACT_FIELDS[name]))
+    assert not isinstance(outcome(list_contour_from_json, text), type)
+    assert outcome(contour_from_json, text) is ContourFormatError
+
+
+@pytest.mark.parametrize("size", [64, 64.0])
+def test_whole_frame_sizes_load(size):
+    good = contour_to_json(unflatten(np.arange(40.0), 64, 48))
+    text = malformed(good, lambda d: d.update(width=size, degree=5.0))
+    assert_same_contour(contour_from_json(text), list_contour_from_json(text))
+
+
 # ---------------------------------------------------------------- sweep
 
 def per_polygon_sweep(masks, deltas, trials, seed=0, samples_per_segment=128, points=20):
@@ -1347,3 +1373,99 @@ def test_cache_hit_evaluates_no_basis(monkeypatch):
     assert second.gradient.tobytes() == first.gradient.tobytes()
     SampleSet([0.5], [0]).operator
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------- PGM header
+
+def list_load_pgm(data: bytes) -> np.ndarray:
+    """load_pgm as it was: a token loop over the header."""
+    if not data.startswith(b"P5"):
+        raise PgmFormatError("not a binary PGM (missing P5 magic)")
+    # Header tokens may be separated by whitespace and '#' comments.
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        m = re.compile(rb"\s*(?:#[^\n]*\n)*\s*(\d+)").match(data, pos)
+        if m is None:
+            raise PgmFormatError("truncated or malformed PGM header")
+        fields.append(int(m.group(1)))
+        pos = m.end()
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise PgmFormatError(f"bad dimensions {width}x{height}")
+    if maxval <= 0 or maxval > 255:
+        raise PgmFormatError(f"only 8-bit PGM supported, maxval={maxval}")
+    if pos < len(data) and not data[pos:pos + 1].isspace():
+        raise PgmFormatError("maxval must be followed by one whitespace byte")
+    pos += 1
+    if len(data) - pos < width * height:
+        raise PgmFormatError("truncated pixel data")
+    grid = np.frombuffer(data, np.uint8, count=width * height, offset=pos).reshape(height, width)
+    # a uint8 never exceeds a maxval of 255
+    if maxval < 255 and grid.max() > maxval:
+        raise PgmFormatError(f"pixel value {grid.max()} above maxval {maxval}")
+    # for integer values, value * 255 > 127 * maxval exactly when
+    # value > floor(127 * maxval / 255)
+    return grid > 127 * maxval // 255
+
+
+def random_pgms(count, seed):
+    """P5 files and near misses: every whitespace byte and '#' comments as
+    separators, leading zeros, a digit right after the magic, other
+    magics, other bytes after maxval, short or long pixel data and
+    truncated headers. Separators are drawn from a pool built first.
+    Yields each file with its three separators."""
+    rng = random.Random(seed)
+    whitespace = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+
+    def separator():
+        items = []
+        for _ in range(rng.choices((0, 1, 2, 3, 4), (3, 50, 25, 12, 10))[0]):
+            if rng.random() < 0.75:
+                items.append(rng.choice(whitespace))
+            else:
+                items.append(b"#" + bytes(rng.choices(b"ab #\t09", k=rng.randrange(6))) + b"\n")
+        return b"".join(items)
+
+    separators = [separator() for _ in range(2000)]
+    magics = [b"P5"] * 92 + [b"P6"] * 3 + [b"P2", b"P2", b"p5", b"p5", b"P"]
+    ends = whitespace * 2 + [b"", b"#c\n", b"X", b"\n\n"]
+    maxvals = (0, 1, 2, 127, 254, 255, 255, 255, 256, 65535)
+    zeros = [b""] * 8 + [b"0", b"00"]
+    for _ in range(count):
+        width, height, maxval = rng.randrange(6), rng.randrange(6), rng.choice(maxvals)
+        s, z = rng.choices(separators, k=3), rng.choices(zeros, k=3)
+        data = b"".join([rng.choice(magics), s[0], z[0], b"%d" % width, s[1], z[1], b"%d" % height,
+                         s[2], z[2], b"%d" % maxval, rng.choice(ends)])
+        size = max(0, width * height + rng.choice((0, 0, 0, 0, -1, 1, 3)))
+        if maxval < 255 and rng.random() < 0.7:
+            data += bytes(rng.choices(range(maxval + 1), k=size))
+        else:
+            data += rng.randbytes(size)
+        yield (data[:rng.randrange(len(data))] if rng.random() < 0.05 else data), s
+
+
+# the separator the token loop takes: whitespace, comments, whitespace
+LOOP_SEPARATOR = re.compile(rb"\s*(?:#[^\n]*\n)*\s*")
+
+
+def test_pgm_header_fuzz():
+    """One grammar against the token loop on 100,000 random files. Where
+    both load, the masks are equal; where both raise, they raise one type.
+    Only the loop loads a digit right after P5; only the grammar loads a
+    header whose comments and whitespace interleave, which the loop's
+    whitespace-comments-whitespace separator (LOOP_SEPARATOR) rejects."""
+    counts = {"both load": 0, "both raise": 0, "loop only": 0, "grammar only": 0}
+    for data, separators in random_pgms(100_000, seed=20):
+        got, want = outcome(load_pgm, data), outcome(list_load_pgm, data)
+        if isinstance(got, type) == isinstance(want, type):
+            assert_same(got, want)
+            counts["both raise" if isinstance(got, type) else "both load"] += 1
+        elif isinstance(got, type):
+            assert got is PgmFormatError and data[2:3].isdigit()
+            counts["loop only"] += 1
+        else:
+            assert want is PgmFormatError
+            assert not all(LOOP_SEPARATOR.fullmatch(s) for s in separators)
+            counts["grammar only"] += 1
+    assert min(counts.values()) > 0
