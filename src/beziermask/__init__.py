@@ -16,8 +16,7 @@ from .errors import (BezierMaskError, ContourFormatError, DegenerateShapeError,
                      EmptyMaskError, PgmFormatError, UndefinedMetricError)
 from .fitting import (FitReport, PiecewiseContour, contour_from_json,
                       contour_to_json, decode_contour, encode_mask, fit_arc,
-                      find_extreme_points, flatten, scale_contour,
-                      split_boundary, unflatten)
+                      find_extreme_points, flatten, scale_contour, unflatten)
 from .mask import (BoundaryTrace, boundary_points, largest_component, load_pgm,
                    morphological_smooth, polygon_to_mask,
                    rasterize_polygon, save_pgm,

@@ -79,7 +79,6 @@ def _encode_one(args):
 def cmd_encode(args) -> int:
     inputs = _collect_inputs(args.inputs, ".pgm").values()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     work = [(str(p), args.degree, args.smooth_radius, str(out_dir)) for p in inputs]
     results = _pmap(_encode_one, work, args.jobs)
     rows = [["image_id", "arc", "residual_rms", "arc_points"]]

@@ -110,18 +110,6 @@ def find_extreme_points(trace: BoundaryTrace) -> tuple:
     return pick(y, x), pick(x, -y), pick(-y, -x), pick(-x, y)
 
 
-def split_boundary(trace: BoundaryTrace, idx) -> list:
-    """Cut the closed trace into 4 arcs at the trace indices idx of the
-    extreme points.
-
-    Arc k runs from extreme k to extreme k+1 (cyclic), both endpoints
-    included, following the trace orientation.
-    """
-    m = len(trace.points)
-    return [trace.points.take(np.arange(i, i + (j - i) % m + 1), axis=0, mode="wrap")
-            for i, j in zip(idx, [*idx[1:], idx[0]])]
-
-
 def fit_arc(arc: np.ndarray, degree: int):
     """Least-squares Bezier fit of an arc with fixed endpoints.
 

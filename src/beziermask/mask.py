@@ -64,14 +64,18 @@ def load_pgm(data: bytes) -> np.ndarray:
     The header (_PGM_HEADER) is `P5`, then width, height and maxval, each
     after one or more whitespace bytes or '#' comments (each through the
     next newline) in any order, then one whitespace byte before the
-    pixels. A digit right after `P5`, a comment right after maxval and a
-    pixel value above maxval raise PgmFormatError. A pixel is foreground
-    iff value / maxval > 127 / 255, so a 0/1 label map loads like 0/255.
+    pixels. A digit right after `P5`, a comment right after maxval, a
+    field longer than int()'s digit limit and a pixel value above maxval
+    raise PgmFormatError. A pixel is foreground iff value / maxval >
+    127 / 255, so a 0/1 label map loads like 0/255.
     """
     m = _PGM_HEADER.match(data)
     if m is None:
         raise PgmFormatError("not a binary PGM with a well-formed P5 header")
-    width, height, maxval = map(int, m.groups())
+    try:
+        width, height, maxval = map(int, m.groups())
+    except ValueError as e:  # a field longer than int()'s digit limit
+        raise PgmFormatError(f"header field too long: {e}") from None
     if width < 1 or height < 1:
         raise PgmFormatError(f"bad dimensions {width}x{height}")
     if maxval <= 0 or maxval > 255:
@@ -89,11 +93,13 @@ def load_pgm(data: bytes) -> np.ndarray:
 
 
 def save_pgm(mask: np.ndarray) -> bytes:
-    """Serialize a boolean mask as binary PGM, foreground = 255."""
-    mask = np.asarray(mask, dtype=bool)
+    """Serialize a 2-D boolean mask as binary PGM, foreground = 255.
+    The pixels are cast and scaled in one pass, in C order even for a
+    transposed mask, and copied once into the result."""
+    mask = _as_2d(mask)
     h, w = mask.shape
     header = f"P5\n{w} {h}\n255\n".encode()
-    return header + (mask.astype(np.uint8) * 255).tobytes()
+    return b"".join([header, np.multiply(mask, np.uint8(255), dtype=np.uint8, order="C")])
 
 
 def _bbox(mask: np.ndarray):

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from beziermask import (BezierMaskError, BezierSegment, ContourFormatError,
                         DegenerateShapeError, EmptyMaskError, basis_matrix, contour_from_json,
                         contour_to_json, decode_contour, encode_mask,
-                        find_extreme_points, fit_arc, flatten, polygon_to_mask,
-                        scale_contour, split_boundary, trace_boundary,
-                        unflatten)
+                        find_extreme_points, fit_arc, flatten, load_pgm, polygon_to_mask,
+                        save_pgm, scale_contour, trace_boundary, unflatten)
 from beziermask.experiments import ShapeSpec, generate_shape
-from beziermask.fitting import PiecewiseContour
+from beziermask.fitting import PiecewiseContour, encode_trace
 
 
 def square_mask():
@@ -67,28 +66,29 @@ class TestExtremePoints:
 
 
 class TestSplitBoundary:
+    """encode_trace cuts the trace into 4 arcs, arc k from extreme k to
+    extreme k+1 with both ends included; these check its cut."""
+
     def test_square_sides(self):
         tr = trace_boundary(square_mask())
-        arcs = split_boundary(tr, find_extreme_points(tr))
-        assert [len(a) for a in arcs] == [4, 4, 4, 4]
-        np.testing.assert_array_equal(arcs[0][:, 0], 2.5)  # left side
-        np.testing.assert_array_equal(arcs[1][:, 1], 5.5)  # bottom side
+        contour, report = encode_trace(tr, 5, 8, 8)
+        assert report.arc_lengths.tolist() == [4, 4, 4, 4]
+        np.testing.assert_array_equal(contour.control_points[0, :, 0], 2.5)  # left side
+        np.testing.assert_array_equal(contour.control_points[1, :, 1], 5.5)  # bottom side
 
     def test_arc_endpoints_are_extremes(self):
         tr = trace_boundary(square_mask())
-        idx = find_extreme_points(tr)
-        arcs = split_boundary(tr, idx)
-        chain = tr.points[list(idx)]
-        for k, arc in enumerate(arcs):
-            np.testing.assert_array_equal(arc[0], chain[k])
-            np.testing.assert_array_equal(arc[-1], chain[(k + 1) % 4])
+        chain = tr.points[list(find_extreme_points(tr))]
+        cp = encode_trace(tr, 5, 8, 8)[0].control_points
+        np.testing.assert_array_equal(cp[:, 0], chain)
+        np.testing.assert_array_equal(cp[:, -1], np.roll(chain, -1, axis=0))
 
     def test_counting_identity(self):
         for seed in range(10):
             m = generate_shape(ShapeSpec("blob", 96, 96, 50 + seed, 0.6))
             tr = trace_boundary(m)
-            arcs = split_boundary(tr, find_extreme_points(tr))
-            assert sum(len(a) - 1 for a in arcs) == len(tr)
+            _, report = encode_trace(tr, 5, 96, 96)
+            assert (report.arc_lengths - 1).sum() == len(tr)
 
 
 class TestFitArc:
@@ -249,6 +249,28 @@ def adversarial_masks(draw):
     return m, draw(st.integers(0, 2))
 
 
+@st.composite
+def adversarial_pgms(draw):
+    """(mask, smooth_radius, P5 bytes): an adversarial mask written with a
+    drawn maxval, its foreground as values above floor(127 * maxval / 255)
+    and its background as values at or below it."""
+    m, radius = draw(adversarial_masks())
+    maxval = draw(st.integers(1, 255))
+    cut = 127 * maxval // 255
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.where(m, rng.integers(cut + 1, maxval + 1, m.shape), rng.integers(0, cut + 1, m.shape))
+    h, w = m.shape
+    return m, radius, f"P5\n{w} {h}\n{maxval}\n".encode() + grid.astype(np.uint8).tobytes()
+
+
+def encoded_json(m, radius):
+    """contour_to_json of the encoded mask, or the type of its error."""
+    try:
+        return contour_to_json(encode_mask(m, smooth_radius=radius)[0])
+    except BezierMaskError as e:
+        return type(e)
+
+
 class TestAdversarialMasks:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(adversarial_masks())
@@ -269,6 +291,36 @@ class TestAdversarialMasks:
         np.testing.assert_array_equal(again.control_points, contour.control_points)
         raster = polygon_to_mask(decode_contour(contour, 16), w, h)
         assert raster.shape == (h, w) and raster.dtype == bool
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(adversarial_pgms())
+    def test_pgm_loads_and_encodes_like_its_array(self, case):
+        m, radius, data = case
+        loaded = load_pgm(data)
+        assert loaded.dtype == bool and loaded.shape == m.shape
+        np.testing.assert_array_equal(loaded, m)
+        assert encoded_json(loaded, radius) == encoded_json(m, radius)
+
+    @pytest.mark.parametrize("where", ["corner", "far-border"])
+    def test_4096_frame_round_trip(self, where):
+        """A small rectangle in the top-left corner, and a disc cut by the
+        bottom border, through save, load, encode, decode and fill."""
+        if where == "corner":
+            m = np.zeros((4096, 4096), bool)
+            m[:6, :5] = True
+        else:
+            y, x = np.ogrid[:4096, :4096]
+            m = (y - 4100) ** 2 + (x - 2000) ** 2 <= 60 ** 2
+        loaded = load_pgm(save_pgm(m))
+        np.testing.assert_array_equal(loaded, m)
+        contour, _ = encode_mask(loaded)
+        assert (contour.width, contour.height) == (4096, 4096)
+        raster = polygon_to_mask(decode_contour(contour, 128), 4096, 4096)
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        box = np.zeros_like(m)
+        box[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1] = True
+        assert not (raster & ~box).any()
+        assert mask_iou(raster, m) >= 0.99
 
 
 class TestDecodeContour:

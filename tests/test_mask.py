@@ -80,7 +80,9 @@ class TestPgm:
                                       b"P5\n2 1\n255X" + bytes([255, 255]),
                                       b"P5\n2 1\n1\n" + bytes([1, 200]),
                                       b"P52 1\n255\n\x00\xff",
-                                      b"P5\n2 1\n255#c\n" + bytes(2)])
+                                      b"P5\n2 1\n255#c\n" + bytes(2),
+                                      pytest.param(b"P5 " + b"0" * 5000 + b"1 1 255\n\x00",
+                                                   id="5000-digit-width")])
     def test_malformed(self, data):
         with pytest.raises(PgmFormatError):
             load_pgm(data)
@@ -96,6 +98,21 @@ class TestPgm:
     def test_bytes_after_the_pixels_are_ignored(self):
         grid = np.arange(15, dtype=np.uint8).reshape(3, 5) * 17
         np.testing.assert_array_equal(load_pgm(pgm_bytes(grid) + b"\xff" * 7), grid > 127)
+
+    @pytest.mark.parametrize("view", [lambda m: m, lambda m: m[::2, ::3], lambda m: m[:1],
+                                      lambda m: m.T,
+                                      lambda m: (m.view(np.uint8) * np.uint8(255)).view(bool)],
+                             ids=["contiguous", "strided", "1xN", "transposed", "bytes-0-255"])
+    def test_save_bytes(self, view):
+        """save_pgm writes what the cast-and-concatenate formula wrote, also
+        for a bool array whose bytes are not 0 and 1."""
+        m = view(np.random.default_rng(3).random((9, 14)) > 0.5)
+        h, w = m.shape
+        assert save_pgm(m) == f"P5\n{w} {h}\n255\n".encode() + (m.astype(np.uint8) * 255).tobytes()
+
+    def test_save_rejects_1d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            save_pgm(np.ones(5, bool))
 
 
 class TestLargestComponent:

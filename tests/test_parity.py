@@ -5,13 +5,13 @@ smooth L1 and the PGM header grammar against the code they replaced.
 
 The oracles below are the earlier implementations (full-frame passes
 with ndimage.label, the box-local XOR fill, contours as lists of
-BezierSegments, a sweep that rasterizes and scores one polygon at a
-time, a loss that rebuilds its operator on every call, a smooth L1
-built from where and sign, a token loop over the PGM header), kept
-verbatim in substance: every output must be equal bit for bit (values,
-dtype and shape), and every error of the same type. The exceptions are
-inputs that the old code loaded wrongly or rejected wrongly; the tests
-that hold them say which.
+BezierSegments fitted on arcs cut point by point, a sweep that
+rasterizes and scores one polygon at a time, a loss that rebuilds its
+operator on every call, a smooth L1 built from where and sign, a token
+loop over the PGM header), kept verbatim in substance: every output
+must be equal bit for bit (values, dtype and shape), and every error of
+the same type. The exceptions are inputs that the old code loaded
+wrongly or rejected wrongly; the tests that hold them say which.
 """
 
 import json
@@ -33,7 +33,7 @@ from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, Contour
                         decode_contour, decode_points, degree_sweep, encode_mask,
                         find_extreme_points, fit_arc, flatten, hausdorff, largest_component, morphological_smooth,
                         perturb_contour, polygon_baseline, polygon_to_mask, rasterize_polygon,
-                        sample_parameters, scale_contour, sensitivity_sweep, split_boundary,
+                        sample_parameters, scale_contour, sensitivity_sweep,
                         trace_boundary, trace_object, unflatten)
 from beziermask import SampleSet, contour_loss, decode_jacobian, decoder, load_pgm, smooth_l1
 from beziermask.bezier import MAX_DEGREE, basis_matrix
@@ -283,6 +283,21 @@ class SegmentContour:
         return self.segments[0].degree
 
 
+def list_split_boundary(trace, idx):
+    """The 4 arcs of a closed trace, point by point: arc k runs from
+    extreme idx[k] to extreme idx[k+1], both ends included, indices
+    wrapping."""
+    pts, m = trace.points, len(trace.points)
+    arcs = []
+    for k in range(4):
+        i, arc = idx[k], [pts[idx[k]]]
+        while i != idx[(k + 1) % 4]:
+            i = (i + 1) % m
+            arc.append(pts[i])
+        arcs.append(np.array(arc))
+    return arcs
+
+
 def list_fit_arc(arc, degree):
     arc = np.asarray(arc, dtype=float)
     if degree < 1:
@@ -310,7 +325,7 @@ def list_fit_arc(arc, degree):
 def list_encode_trace(trace, degree, width, height):
     """(contour, residuals, arc lengths) from four separate fits."""
     idx = find_extreme_points(trace)
-    arcs = split_boundary(trace, idx)
+    arcs = list_split_boundary(trace, idx)
     segments, residuals = [], np.zeros(4)
     for k, arc in enumerate(arcs):
         seg, residuals[k] = list_fit_arc(arc, degree)
@@ -1023,7 +1038,7 @@ def test_encode_trace(case):
         assert_same_contour(contour, want[0])
         assert_same(report.residuals, want[1])
         assert_same(report.arc_lengths, want[2])
-        arcs = split_boundary(trace, find_extreme_points(trace))
+        arcs = list_split_boundary(trace, find_extreme_points(trace))
         for arc in arcs + [trace.points[:m] for m in (1, 2, degree, degree + 1)]:
             seg, resid = fit_arc(arc, degree)
             want_seg, want_resid = list_fit_arc(arc, degree)
@@ -1211,7 +1226,7 @@ def per_arc_degree_sweep(masks, degrees):
     arcs_per_mask = []
     for m in masks:
         trace = trace_object(m)
-        arcs_per_mask.append(split_boundary(trace, find_extreme_points(trace)))
+        arcs_per_mask.append(list_split_boundary(trace, find_extreme_points(trace)))
     out = {}
     for degree in degrees:
         res = [fit_arc(arc, degree)[1] for arcs in arcs_per_mask for arc in arcs]
