@@ -6,9 +6,9 @@ ValueError. Continuous coordinates use the pixel-center convention:
 pixel (row r, col c) sits at (x = c + 0.5, y = r + 0.5), with y growing
 downward. Foreground is 8-connected, background 4-connected.
 
-Labelling, smoothing, tracing and boundary extraction work on the
-bounding box of the foreground, found by two any() reductions over the
-frame, so their cost follows the object rather than the frame.
+Labelling, smoothing and tracing work on the bounding box of the
+foreground, found by two any() reductions over the frame, so their cost
+follows the object rather than the frame.
 Components are labelled from row runs: one pass over the box, padded by
 a background pixel on every side, finds each run; two searchsorted calls
 find the runs of the next row that each run touches, and a union of the
@@ -29,10 +29,18 @@ calls as one polygon, into (B, height, width) frames, and each slice
 equals the single-polygon raster bit for bit. The noise sweep of
 experiments.sensitivity_sweep rasterizes in such stacks of at most
 4 MiB of frames.
+
+Boundary extraction, shared with metrics.compare_masks, packs each
+frame's rows 8 pixels to a byte in one pass, then finds the box and the
+4-neighbour boundary on 64-bit words of the packed rows: O(box / 8)
+bytes besides the packing, about 0.19 B of traced memory per frame
+pixel on a 4096^2 blob (0.39 for compare_masks).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -103,22 +111,15 @@ def save_pgm(mask: np.ndarray) -> bytes:
 
 
 def _bbox(mask: np.ndarray):
-    """(rows, cols) slices of the smallest box holding every foreground
-    pixel, or None for an empty mask."""
+    """(rows, cols) slices of the smallest box holding every nonzero entry
+    of a 2-D array, or None when it has none: for a mask, the box of its
+    foreground; for rows packed by _packed, the box of bytes holding it."""
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return None
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     cols = np.flatnonzero(mask[r0:r1].any(axis=0))
     return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
-
-
-def _padded(mask: np.ndarray, box) -> np.ndarray:
-    """The crop of `mask` to `box` in a zeroed bool grid with one
-    background pixel of padding on every side."""
-    grid = np.zeros((box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2), dtype=bool)
-    grid[1:-1, 1:-1] = mask[box]
-    return grid
 
 
 def _runs(mask: np.ndarray):
@@ -130,7 +131,8 @@ def _runs(mask: np.ndarray):
     box = _bbox(mask)
     if box is None:
         return None
-    grid = _padded(mask, box)
+    grid = np.zeros((box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2), dtype=bool)
+    grid[1:-1, 1:-1] = mask[box]
     flat = grid.ravel()
     # the grid starts and ends with background, so changes pair up
     edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
@@ -385,33 +387,62 @@ def _as_2d(mask) -> np.ndarray:
 
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:
-    """Centers of foreground pixels with a background 4-neighbor or on the border.
+    """Centers of foreground pixels with a background 4-neighbor or on the
+    border, in raster order.
 
-    One row scan of the frame finds the foreground's bounding box;
-    the rest takes O(bounding box) time and memory. A mask that is not
-    2-D raises ValueError.
+    One pass over the frame packs its rows 8 pixels to a byte (_packed);
+    the box of bytes holding the foreground is found on the packed rows,
+    and the boundary on that box 64 pixels at a time (_boundary), so the
+    rest takes O(bounding box / 8) bytes. A mask that is not 2-D raises
+    ValueError.
     """
-    mask = _as_2d(mask)
-    return _boundary(mask, _bbox(mask))
+    return _boundary(*_packed(_as_2d(mask)))[0]
 
 
-def _boundary(mask: np.ndarray, box) -> np.ndarray:
-    """boundary_points of a 2-D bool mask whose foreground lies in `box`
-    (None when it has none), computed on the padded box grid."""
-    if box is None:
-        return np.empty((0, 2))
-    grid = _padded(mask, box)
-    n = grid.shape[1]
+def _packed(*masks):
+    """(grid, box) of 2-D bool masks of one shape, their rows packed 8
+    pixels to a byte, pixel c as bit c % 8 of byte c // 8. `box` is the
+    (rows, bytes) slices of the smallest box holding every mask's
+    foreground (empty when there is none), and grid[i] that box of mask
+    i as little-endian 64-bit words, with one zero word on each side and
+    a zero row above and below. The packed frames are dropped on return.
+    """
+    bits = [np.packbits(m, axis=1, bitorder="little") for m in masks]
+    box = _bbox(functools.reduce(operator.or_, bits)) or (slice(0, 0), slice(0, 0))
+    height, width = box[0].stop - box[0].start, box[1].stop - box[1].start
+    grid = np.zeros((len(bits), height + 2, -(-width // 8) + 2), dtype="<u8")
+    view = grid.view(np.uint8)
+    for i, b in enumerate(bits):
+        view[i, 1:-1, 8:8 + width] = b[box]
+    return grid, box
+
+
+def _boundary(grid: np.ndarray, box) -> list:
+    """boundary_points of each stacked grid of packed rows from _packed,
+    whose first bit is the frame pixel (box[0].start, 8 * box[1].start).
+
+    A pixel is interior when it and its four neighbours are set: in a
+    word, the left neighbour of bit k is bit k - 1, carried from bit 63
+    of the previous word at k = 0, and the right one is bit k + 1. The
+    stack is worked on flat, its padding words zero in every result, and
+    only the words holding a boundary pixel are unpacked.
+    """
+    count, height, n = grid.shape
     flat = grid.ravel()
-    core = flat[n:-n]  # the box's rows with their padding columns
-    edge = flat[:-2 * n] & flat[2 * n:]  # neighbours above and below
-    edge[1:-1] &= core[:-2]
-    edge[1:-1] &= core[2:]
-    # foreground pixels whose four neighbours are not all foreground;
-    # padding pixels are background, so none of them is kept
-    np.greater(core, edge, out=edge)
-    rows, cols = np.divmod(np.flatnonzero(edge), n)
-    return np.stack([cols + (box[1].start - 1) + 0.5, rows + box[0].start + 0.5], axis=1)
+    core = flat[n:-n]  # every row but the stack's first and last
+    interior = core & flat[:-2 * n] & flat[2 * n:]
+    interior &= core << 1 | flat[n - 1:-n - 1] >> 63
+    interior &= core >> 1 | flat[n + 1:1 - n] << 63
+    edge = np.bitwise_xor(core, interior, out=interior)  # core & ~interior
+    at = np.flatnonzero(edge)
+    bits = np.flatnonzero(np.unpackbits(edge[at].view(np.uint8), bitorder="little").view(bool))
+    rows, cols = np.divmod(at[bits >> 6], n)  # grid i's rows from i * height
+    points = np.empty((bits.size, 2))
+    # word column 0 is the left padding word, 64 pixels left of the box
+    np.add(cols << 6 | bits & 63, 8 * box[1].start - 63.5, out=points[:, 0])
+    np.add(rows % height, box[0].start + 0.5, out=points[:, 1])
+    cuts = np.searchsorted(rows, height * np.arange(1, count)).tolist()
+    return [points[i:j] for i, j in zip([0, *cuts], [*cuts, bits.size])]
 
 
 def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from beziermask.cli import _write_csv_atomic
 from beziermask.errors import UndefinedMetricError
 from beziermask.experiments import ShapeSpec, generate_shape
 from beziermask.fitting import decode_contour, encode_mask
-from beziermask.mask import polygon_to_mask
+from beziermask.mask import boundary_points, polygon_to_mask
 from beziermask.metrics import csv_rows
 
 
@@ -234,6 +234,38 @@ def test_compare_masks_memory_follows_the_boxes():
         tracemalloc.stop()
     assert rep.iou > 0.95
     assert peak < size * size
+
+
+def traced_peak(fn, *args):
+    """The traced peak of memory, in bytes, of one call of fn(*args)."""
+    # Hausdorff's lazy import of the k-d tree would count as well
+    import scipy.spatial  # noqa: F401
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def blob_pair(size):
+    gt = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
+    contour, _ = encode_mask(gt)
+    return polygon_to_mask(decode_contour(contour, 128), size, size), gt
+
+
+def test_compare_masks_memory_follows_the_packed_box():
+    # the two packed frames take 1/8 B per frame pixel each, and the
+    # rest 1/8 B per pixel of the box that holds both foregrounds
+    size = 4096
+    pred, gt = blob_pair(size)
+    assert traced_peak(compare_masks, pred, gt) < 0.6 * size * size
+
+
+def test_boundary_points_memory_follows_the_packed_box():
+    size = 4096
+    pred, _ = blob_pair(size)
+    assert traced_peak(boundary_points, pred) < 0.5 * size * size
 
 
 class TestSummarize:

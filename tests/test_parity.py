@@ -1,7 +1,8 @@
-"""The bounding-box pixel passes, the labelling of row runs, the k-d tree
-Hausdorff distance, the run-length polygon fill, the array contour codec
-the stacked noise sweep, the loss's cached sampling operator, its
-smooth L1 and the PGM header grammar against the code they replaced.
+"""The bounding-box pixel passes, the boundary and counts on packed rows,
+the labelling of row runs, the k-d tree Hausdorff distance, the
+run-length polygon fill, the array contour codec, the stacked noise
+sweep, the loss's cached sampling operator, its smooth L1 and the PGM
+header grammar against the code they replaced.
 
 The oracles below are the earlier implementations (full-frame passes
 with ndimage.label, the box-local XOR fill, contours as lists of
@@ -759,6 +760,50 @@ def report_pairs():
 def test_compare_masks():
     for pred, gt in report_pairs():
         assert_same(report_bits(compare_masks, pred, gt), report_bits(full_compare_masks, pred, gt))
+
+
+# widths around the edges of a packed byte and of a 64-bit word
+WORD_EDGES = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129)
+
+
+def packed_masks():
+    """Masks for the packed rows: every width from 1 to 130, so every
+    residue of w % 8 and of w % 64; objects on each frame border, the
+    right one in the last byte, which packbits pads; boxes across each
+    word edge; one-row and one-column frames; transposed and strided
+    views and 0/255 uint8 masks."""
+    rng = np.random.default_rng(5)
+    for w in range(1, 131):
+        h = 1 + w % 5
+        yield rng.random((h, w)) < 0.7
+        yield np.ones((h, w), bool)
+        yield boxes((h + 2, w), (0, h + 2, 0, 1))          # left border column
+        yield boxes((h + 2, w), (0, h + 2, w - 1, w))      # right border column
+    for w in WORD_EDGES:
+        yield boxes((6, w + 3), (1, 5, max(w - 2, 0), w + 1))  # across the edge
+        yield boxes((4, w), (0, 1, 0, w), (3, 4, 0, w))        # top and bottom rows
+        yield boxes((5, w + 2), (2, 3, w, w + 1))              # one pixel past the edge
+        yield np.ones((1, w), bool)
+        yield np.ones((w, 1), bool)
+        yield rng.random((1, w)) < 0.5
+        yield rng.random((w, 1)) < 0.5
+        yield (rng.random((w, 5)) < 0.7).T
+        yield (rng.random((9, 3 * w)) < 0.7)[::2, ::3]
+        yield (rng.random((4, w)) < 0.7) * np.uint8(255)
+
+
+def test_packed_boundary_points():
+    for m in packed_masks():
+        assert_same(boundary_points(m), full_boundary_points(m))
+
+
+def test_packed_compare_masks():
+    rng = np.random.default_rng(6)
+    for m in packed_masks():
+        other = rng.random(m.shape) < 0.5
+        for pred, gt in ((m, m), (m, other), (other, m), (m, np.zeros_like(m)),
+                         (np.zeros_like(m), m), (m, m == 0)):
+            assert_same(report_bits(compare_masks, pred, gt), report_bits(full_compare_masks, pred, gt))
 
 
 @pytest.mark.parametrize("seed", range(4))
