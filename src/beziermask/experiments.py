@@ -132,8 +132,11 @@ def fidelity_study(masks, degree: int = 5,
 
 
 def degree_sweep(masks, degrees=(3, 5, 7, 9)) -> dict:
-    """Mean per-arc fit residual for each degree, tracing each mask once."""
+    """Mean per-arc fit residual for each degree, tracing each mask once.
+    An empty corpus raises DegenerateShapeError."""
     traced = [(mask_ops.trace_object(m), np.shape(m)) for m in masks]
+    if not traced:
+        raise DegenerateShapeError("the corpus holds no mask")
     out = {}
     for degree in degrees:
         res = [fitting.encode_trace(trace, degree, w, h)[1].residuals

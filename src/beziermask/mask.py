@@ -7,18 +7,19 @@ pixel (row r, col c) sits at (x = c + 0.5, y = r + 0.5), with y growing
 downward. Foreground is 8-connected, background 4-connected.
 
 Labelling, smoothing and tracing work on the bounding box of the
-foreground, found by two any() reductions over the frame, so their cost
-follows the object rather than the frame.
+foreground, found by two bitwise-or reductions over the frame, so their
+cost follows the object rather than the frame.
 Components are labelled from row runs: one pass over the box, padded by
 a background pixel on every side, finds each run; two searchsorted calls
 find the runs of the next row that each run touches, and a union of the
 runs by hooking and pointer jumping joins them in a few O(runs) array
-passes per hooking round. The Moore walk reads that same padded grid.
+passes per hooking round. The Moore walk reads that same padded grid in
+place, or the grid of the smoothed runs, other components and all.
 The disc smoothing is interval coding on those runs (Ji, Piper & Tang
 1989; Breuel 2008): a dilation is the union of the runs moved by each
 disc row and widened by its half-width, an erosion is where all the runs
 moved by each row and shrunk by its half-width meet, and each is one
-np.unique of the runs' ends and a cumsum: O(runs * radius * log) time.
+np.sort of the runs' ends and a cumsum: O(runs * radius * log) time.
 Polygons are filled from runs too: the sorted crossings of the
 pixel-centre rows cut the output frames, in raster order, into runs of
 alternating parity, so a fill costs O(crossings * log(crossings) +
@@ -114,11 +115,11 @@ def _bbox(mask: np.ndarray):
     """(rows, cols) slices of the smallest box holding every nonzero entry
     of a 2-D array, or None when it has none: for a mask, the box of its
     foreground; for rows packed by _packed, the box of bytes holding it."""
-    rows = np.flatnonzero(mask.any(axis=1))
+    rows = np.flatnonzero(np.bitwise_or.reduce(mask, axis=1))
     if rows.size == 0:
         return None
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(mask[r0:r1].any(axis=0))
+    cols = np.flatnonzero(np.bitwise_or.reduce(mask[r0:r1], axis=0))
     return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
@@ -197,19 +198,17 @@ def _component_count(mask: np.ndarray) -> int:
     return _label(starts, stops, grid.shape[1])[0]
 
 
-def _largest(box, grid: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """(box, grid, starts, stops) of the largest component of the runs
-    [starts[i], stops[i]) of `grid`, the padded grid of the frame's slices
-    `box`; the grid is rebuilt to hold that component only if the runs
-    form more than one."""
-    count, labels = _label(starts, stops, grid.shape[1])
+def _largest(starts: np.ndarray, stops: np.ndarray, stride: int):
+    """(starts, stops) of the runs of the largest component among the
+    runs [starts[i], stops[i]) of a padded grid with rows of `stride`
+    pixels; the runs themselves when they form one component."""
+    count, labels = _label(starts, stops, stride)
     if count > 1:
         # the largest component; of equal sizes, the one whose first pixel
         # comes first in scan order, i.e. the first label
         keep = labels == np.argmax(np.bincount(labels, weights=stops - starts))
         starts, stops = starts[keep], stops[keep]
-        grid = _grid(starts, stops, grid.shape)
-    return box, grid, starts, stops
+    return starts, stops
 
 
 def largest_component(mask: np.ndarray) -> np.ndarray:
@@ -218,13 +217,17 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
 
     Labels the row runs of the foreground's bounding box: one pass over
     the box plus a few O(runs) array passes per hooking round, and the
-    box's bytes besides the zeroed output frame.
+    box's bytes besides the zeroed output frame; the box's grid is
+    rebuilt from the kept runs only when other components are dropped.
     """
     mask = _as_2d(mask)
     out = np.zeros(mask.shape, dtype=bool)
     found = _runs(mask)
     if found is not None:
-        box, grid = _largest(*found)[:2]
+        box, grid, starts, stops = found
+        kept = _largest(starts, stops, grid.shape[1])
+        if kept[0].size < starts.size:
+            grid = _grid(*kept, grid.shape)
         out[box] = grid[1:-1, 1:-1]
     return out
 
@@ -315,20 +318,29 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     optional morphological smoothing (whose own largest component
     replaces it unless empty). The component is labelled once from the
     row runs of the padded bounding box, one pass over the box plus a
-    few O(runs) array passes per hooking round, and walked on that grid.
+    few O(runs) array passes per hooking round, and walked on one grid,
+    other components left in it: the padded box, or the smoothed runs'
+    grid that replaces it. Besides the runs, at most two bytes per box
+    pixel are held at once.
 
-    Raises EmptyMaskError on an empty mask and DegenerateShapeError when
-    the object has fewer than 4 pixels or its boundary fewer than 4 points.
+    Raises ValueError for a negative smooth_radius, EmptyMaskError on an
+    empty mask and DegenerateShapeError when the object has fewer than 4
+    pixels or its boundary fewer than 4 points.
     """
+    if smooth_radius < 0:
+        raise ValueError("radius must be >= 0")
     mask = _as_2d(mask)
     found = _runs(mask)
     if found is None:
         raise EmptyMaskError("cannot encode an empty mask")
-    box, grid, starts, stops = _largest(*found)
+    box, grid, starts, stops = found
+    del found  # a smoothed grid replaces the box's grid below
+    starts, stops = _largest(starts, stops, grid.shape[1])
     if smooth_radius > 0:
         smoothed = _smooth(starts, stops, grid.shape[1], smooth_radius)
         if smoothed[0].size:
-            box, grid, starts, stops = _largest(box, _grid(*smoothed, grid.shape), *smoothed)
+            grid = _grid(*smoothed, grid.shape)
+            starts, stops = _largest(*smoothed, grid.shape[1])
     if (stops - starts).sum() < 4:
         raise DegenerateShapeError("object smaller than 4 pixels")
     trace = _moore_walk(grid, int(starts[0]), box)
@@ -338,19 +350,21 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
 
 
 def _moore_walk(grid: np.ndarray, start: int, box) -> BoundaryTrace:
-    """Moore walk around the one 8-connected object in `grid`, the crop
-    of the frame to the slices `box` padded by one background pixel,
-    from its first pixel in scan order, at flat index `start`.
+    """Moore walk around the 8-connected object of `grid`, the crop of
+    the frame to the slices `box` padded by one background pixel, from
+    its first pixel in scan order, at flat index `start`. It probes only
+    the object's 8-neighbours, so it never reaches other components.
 
-    The grid is walked as bytes, every quantity in the loop a Python int,
-    with a table of each backtrack direction's 8 probes in order: a flat
-    offset and the backtrack it leads to. The walk is a deterministic map
-    on (pixel, backtrack) states and stops at the first repeated state,
-    kept as one bit per direction in a byte per pixel; a pixel is kept
-    on its first visit, when its byte is still 0.
+    The grid is read in place as bytes through a memoryview, every
+    quantity in the loop a Python int, with a table of each backtrack
+    direction's 8 probes in order: a flat offset and the backtrack it
+    leads to. The walk is a deterministic map on (pixel, backtrack)
+    states and stops at the first repeated state, kept as one bit per
+    direction in a byte per pixel; a pixel is kept on its first visit,
+    when its byte is still 0.
     """
     stride = grid.shape[1]
-    data = grid.tobytes()
+    data = memoryview(grid).cast("B")
     offsets = [dr * stride + dc for dr, dc in _MOORE]
     # from the new pixel, the last background probe (d - 1 of the old) is (d & 6) + 6
     probes = [[(offsets[d & 7], ((d & 6) + 6) & 7) for d in range(b + 1, b + 9)] for b in range(8)]

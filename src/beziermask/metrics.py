@@ -82,7 +82,9 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     matrix's. Upper bounds on the points' nearest distances skip each
     query that cannot raise the maximum (after Taha & Hanbury, TPAMI
     2015): on boundaries, all but a few hundred of some thousands. Time
-    O((N + M) log), memory O(N + M). A NaN or inf raises ValueError.
+    O((N + M) log), memory O(N + M). Each set must be an (N, 2) array of
+    (x, y) as floats: another shape, a NaN or an inf raises ValueError,
+    and an empty set UndefinedMetricError.
 
     Squared distances must stay within the doubles: sets whose largest
     |coordinate| is below 2^-500, and sets whose distance overflows, are
@@ -92,7 +94,9 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     inexact: beside a coordinate above 2^-500, a distance below about
     2^-537 reads as 0 (1e-200 beside 1e300, say).
     """
-    a, b = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (a, b))
+    a, b = (np.asarray(p, dtype=float) for p in (a, b))
+    if a.shape[1:] != (2,) or b.shape[1:] != (2,):
+        raise ValueError(f"point sets must be (N, 2) arrays, not shapes {a.shape} and {b.shape}")
     if len(a) == 0 or len(b) == 0:
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
     top = np.max([np.abs(a).max(), np.abs(b).max()])

@@ -52,6 +52,13 @@ class TestEncode:
         write_pgm(empty, np.zeros((32, 32), bool))
         assert run("encode", empty, "--out", tmp_path / "enc") != 0
 
+    def test_negative_smooth_radius_fails_each_file(self, mask_dir, tmp_path, capsys):
+        out = tmp_path / "enc"
+        assert run("encode", mask_dir, "--out", out, "--smooth-radius", "-1") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"encode failed: blob{i}: ValueError: radius must be >= 0" for i in range(4)]
+        assert not list(out.glob("*.json"))
+
     def test_jobs_bitwise_deterministic(self, mask_dir, tmp_path):
         out1, out2 = tmp_path / "j1", tmp_path / "j2"
         assert run("encode", mask_dir, "--out", out1, "--jobs", "1") == 0
@@ -292,9 +299,12 @@ class TestStudies:
         (("gen-synthetic", "--width", "0", "--count", "1"), "frame must be at least 1x1"),
         (("sensitivity", "--count", "1", "--trials", "0"), "trials must be >= 1"),
         (("sensitivity", "--deltas", "1,nan", "--count", "1"), "deltas must be"),
-        (("sensitivity", "--deltas", "inf", "--count", "1"), "deltas must be")],
+        (("sensitivity", "--deltas", "inf", "--count", "1"), "deltas must be"),
+        (("fidelity", "--smooth-radius", "-1", "--count", "1"), "radius must be >= 0"),
+        (("degree-sweep", "--count", "0"), "the corpus holds no mask")],
         ids=["sensitivity", "fidelity", "gen-synthetic", "sensitivity-no-trials",
-             "sensitivity-nan-delta", "sensitivity-inf-delta"])
+             "sensitivity-nan-delta", "sensitivity-inf-delta", "fidelity-negative-radius",
+             "degree-sweep-empty"])
     def test_bad_arguments_are_errors(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 1

@@ -178,6 +178,12 @@ class TestDegreeSweep:
         assert (degree_sweep([with_speck(small_blob)], degrees=(3, 5))
                 == degree_sweep([small_blob], degrees=(3, 5)))
 
+    def test_empty_corpus_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateShapeError):
+                degree_sweep([], degrees=(3, 5))
+
 
 class TestSensitivitySweep:
     def test_zero_delta_matches_fidelity(self, blob_masks):

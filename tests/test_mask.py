@@ -289,6 +289,15 @@ class TestTraceBoundary:
         with pytest.raises(ValueError, match=r"mask must be 2-D, got shape \("):
             call(np.ones(shape, bool))
 
+    @pytest.mark.parametrize("name", ["trace_object", "encode_mask"])
+    def test_negative_smoothing_radius_is_rejected(self, name):
+        # the same error as morphological_smooth's
+        call = {"trace_object": trace_object,
+                "encode_mask": lambda m, r: encode_mask(m, smooth_radius=r)}[name]
+        m = generate_shape(ShapeSpec("blob", 64, 64, 1, 0.6))
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            call(m, -1)
+
     def test_trace_object_memory_is_a_few_bytes_of_the_box(self):
         # labelling and the walk share one padded byte grid of the
         # bounding box (0.36 of this frame); int32 labels of the box
@@ -303,6 +312,25 @@ class TestTraceBoundary:
             tracemalloc.stop()
         assert len(trace) > 1000
         assert peak < 1.5 * size * size
+
+    @pytest.mark.parametrize("speck, bound", [(False, 1.0), (True, 2.0)], ids=["blob", "corner-speck"])
+    def test_trace_object_walks_one_grid(self, speck, bound):
+        # the walk reads the labelled grid in place, the speck left in it:
+        # the grid and the walk's visit bytes take one byte per box pixel
+        # each, and the box is 0.38 of this frame, 0.69 with the speck
+        size = 4096
+        m = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
+        if speck:
+            assert not m[:6, :6].any()
+            m[2:4, 2:4] = True
+        tracemalloc.start()
+        try:
+            trace = trace_object(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 1000
+        assert peak < bound * size * size
 
 
 def point_in_polygon(px, py, verts):

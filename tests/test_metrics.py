@@ -123,6 +123,13 @@ class TestHausdorff:
         with pytest.raises(UndefinedMetricError):
             hausdorff(np.empty((0, 2)), np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(4, 3), (5,), (2, 2, 2)])
+    def test_sets_not_n_by_2_rejected(self, shape):
+        bad = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        for sets in ((bad, bad + 1.0), (bad, np.zeros((3, 2))), (np.zeros((3, 2)), bad)):
+            with pytest.raises(ValueError, match=r"\(N, 2\) arrays"):
+                hausdorff(*sets)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         # checked before any arithmetic, so no RuntimeWarning comes first
