@@ -217,6 +217,8 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.count):

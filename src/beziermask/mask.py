@@ -104,34 +104,35 @@ def load_pgm(data: bytes) -> np.ndarray:
 def save_pgm(mask: np.ndarray) -> bytes:
     """Serialize a 2-D boolean mask as binary PGM, foreground = 255.
     The pixels are cast and scaled in one pass, in C order even for a
-    transposed mask, and copied once into the result."""
+    transposed mask, and copied once into the result. A mask with no rows
+    or no columns raises ValueError, as load_pgm rejects its header."""
     mask = _as_2d(mask)
     h, w = mask.shape
+    if h < 1 or w < 1:
+        raise ValueError(f"mask must be at least 1x1, got shape {mask.shape}")
     header = f"P5\n{w} {h}\n255\n".encode()
     return b"".join([header, np.multiply(mask, np.uint8(255), dtype=np.uint8, order="C")])
 
 
 def _bbox(mask: np.ndarray):
     """(rows, cols) slices of the smallest box holding every nonzero entry
-    of a 2-D array, or None when it has none: for a mask, the box of its
-    foreground; for rows packed by _packed, the box of bytes holding it."""
+    of a 2-D array, both slice(0, 0) when it has none: for a mask, the box
+    of its foreground; for rows packed by _packed, the bytes holding it."""
     rows = np.flatnonzero(np.bitwise_or.reduce(mask, axis=1))
     if rows.size == 0:
-        return None
+        return slice(0, 0), slice(0, 0)
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     cols = np.flatnonzero(np.bitwise_or.reduce(mask[r0:r1], axis=0))
     return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
 def _runs(mask: np.ndarray):
-    """(box, grid, starts, stops) of the foreground, or None for an empty
-    mask. grid is the crop of the bounding box `box` padded by one
-    background pixel on every side, and [starts[i], stops[i]) is the
-    extent of its i-th run of foreground pixels in the flat grid, in
-    raster order. The padding columns end every run in its own row."""
+    """(box, grid, starts, stops) of the foreground: grid is the crop of
+    the bounding box `box` padded by one background pixel on every side
+    (2x2 for an empty mask's empty box), and [starts[i], stops[i]) is the
+    extent of its i-th foreground run in the flat grid, in raster order,
+    none for an empty mask. The padding columns end every run in its row."""
     box = _bbox(mask)
-    if box is None:
-        return None
     grid = np.zeros((box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2), dtype=bool)
     grid[1:-1, 1:-1] = mask[box]
     flat = grid.ravel()
@@ -191,10 +192,7 @@ def _label(starts: np.ndarray, stops: np.ndarray, stride: int):
 
 def _component_count(mask: np.ndarray) -> int:
     """Number of 8-connected foreground components."""
-    found = _runs(mask)
-    if found is None:
-        return 0
-    _, grid, starts, stops = found
+    _, grid, starts, stops = _runs(mask)
     return _label(starts, stops, grid.shape[1])[0]
 
 
@@ -222,13 +220,11 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
     """
     mask = _as_2d(mask)
     out = np.zeros(mask.shape, dtype=bool)
-    found = _runs(mask)
-    if found is not None:
-        box, grid, starts, stops = found
-        kept = _largest(starts, stops, grid.shape[1])
-        if kept[0].size < starts.size:
-            grid = _grid(*kept, grid.shape)
-        out[box] = grid[1:-1, 1:-1]
+    box, grid, starts, stops = _runs(mask)
+    kept = _largest(starts, stops, grid.shape[1])
+    if kept[0].size < starts.size:
+        grid = _grid(*kept, grid.shape)
+    out[box] = grid[1:-1, 1:-1]
     return out
 
 
@@ -244,10 +240,8 @@ def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
         raise ValueError("radius must be >= 0")
     mask = _as_2d(mask)
     out = np.zeros(mask.shape, dtype=bool)
-    found = _runs(mask)
-    if found is not None:
-        box, grid, starts, stops = found
-        out[box] = _grid(*_smooth(starts, stops, grid.shape[1], radius), grid.shape)[1:-1, 1:-1]
+    box, grid, starts, stops = _runs(mask)
+    out[box] = _grid(*_smooth(starts, stops, grid.shape[1], radius), grid.shape)[1:-1, 1:-1]
     return out
 
 
@@ -302,11 +296,9 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
     bounding box, one pass over the box plus a few O(runs) array passes
     per hooking round, and the walk reads that same grid.
     """
-    mask = _as_2d(mask)
-    found = _runs(mask)
-    if found is None:
+    box, grid, starts, stops = _runs(_as_2d(mask))
+    if starts.size == 0:
         raise EmptyMaskError("cannot trace an empty mask")
-    box, grid, starts, stops = found
     ncomp = _label(starts, stops, grid.shape[1])[0]
     if ncomp != 1:
         raise DegenerateShapeError(f"expected one component, found {ncomp}")
@@ -329,12 +321,9 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     """
     if smooth_radius < 0:
         raise ValueError("radius must be >= 0")
-    mask = _as_2d(mask)
-    found = _runs(mask)
-    if found is None:
+    box, grid, starts, stops = _runs(_as_2d(mask))
+    if starts.size == 0:
         raise EmptyMaskError("cannot encode an empty mask")
-    box, grid, starts, stops = found
-    del found  # a smoothed grid replaces the box's grid below
     starts, stops = _largest(starts, stops, grid.shape[1])
     if smooth_radius > 0:
         smoothed = _smooth(starts, stops, grid.shape[1], smooth_radius)
@@ -417,12 +406,13 @@ def _packed(*masks):
     """(grid, box) of 2-D bool masks of one shape, their rows packed 8
     pixels to a byte, pixel c as bit c % 8 of byte c // 8. `box` is the
     (rows, bytes) slices of the smallest box holding every mask's
-    foreground (empty when there is none), and grid[i] that box of mask
-    i as little-endian 64-bit words, with one zero word on each side and
-    a zero row above and below. The packed frames are dropped on return.
+    foreground (both slice(0, 0) when there is none), and grid[i] that
+    box of mask i as little-endian 64-bit words, with one zero word on
+    each side and a zero row above and below. The packed frames are
+    dropped on return.
     """
     bits = [np.packbits(m, axis=1, bitorder="little") for m in masks]
-    box = _bbox(functools.reduce(operator.or_, bits)) or (slice(0, 0), slice(0, 0))
+    box = _bbox(functools.reduce(operator.or_, bits))
     height, width = box[0].stop - box[0].start, box[1].stop - box[1].start
     grid = np.zeros((len(bits), height + 2, -(-width // 8) + 2), dtype="<u8")
     view = grid.view(np.uint8)
@@ -474,7 +464,8 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     raster order, into runs of alternating parity, written by one
     np.repeat. Time is O(crossings * log(crossings) + B * frame), and
     every frame byte is written even for a small object on a large
-    frame; memory is the output frames plus O(crossings).
+    frame; memory is the output frames plus O(crossings). An infinite
+    coordinate raises ValueError.
     """
     a, b, single = _polygon(vertices, width, height)
     out = _fill(a, b, width, height)
@@ -483,8 +474,8 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
 
 def _polygon(vertices, width: int, height: int):
     """(vertices, next vertices, single): the polygons as (B, n, 2) float
-    arrays, after checking the stack and the frame, and whether the input
-    was one (n, 2) polygon."""
+    arrays, after checking the stack, the frame and that no coordinate is
+    infinite, and whether the input was one (n, 2) polygon."""
     a = np.asarray(vertices, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != 2:
         raise ValueError(f"vertices must be an (n, 2) or (B, n, 2) array, not shape {a.shape}")
@@ -492,6 +483,8 @@ def _polygon(vertices, width: int, height: int):
         raise ValueError("polygon needs at least 3 vertices")
     if width < 1 or height < 1:
         raise ValueError("frame must be at least 1x1")
+    if np.isinf(a).any():
+        raise ValueError("vertices must not be infinite")
     single = a.ndim == 2
     if single:
         a = a[None]

@@ -18,6 +18,8 @@ from beziermask import (DegenerateShapeError, EmptyMaskError, PgmFormatError,
                         morphological_smooth, polygon_to_mask, rasterize_polygon,
                         save_pgm, sensitivity_sweep, trace_boundary, trace_object)
 from beziermask.experiments import ShapeSpec, generate_shape
+from beziermask.mask import _component_count
+from beziermask.metrics import ConfusionCounts, MetricsReport, compare_masks, confusion
 
 
 def pgm_bytes(grid):
@@ -113,6 +115,12 @@ class TestPgm:
     def test_save_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
             save_pgm(np.ones(5, bool))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_save_rejects_zero_size(self, shape):
+        # load_pgm rejects the header such a mask would get
+        with pytest.raises(ValueError, match=r"mask must be at least 1x1, got shape \("):
+            save_pgm(np.zeros(shape, bool))
 
 
 class TestLargestComponent:
@@ -331,6 +339,26 @@ class TestTraceBoundary:
             tracemalloc.stop()
         assert len(trace) > 1000
         assert peak < bound * size * size
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (1, 1), (3, 4)])
+def test_all_background_outcomes(shape):
+    """Empty and zero-size masks: empty frames of the mask's shape, no
+    components, no boundary, EmptyMaskError from the traces and the
+    degenerate scores of an empty pair."""
+    m = np.zeros(shape, bool)
+    for out in [largest_component(m)] + [morphological_smooth(m, r) for r in range(3)]:
+        assert out.dtype == bool and out.shape == shape and not out.any()
+    assert _component_count(m) == 0
+    points = boundary_points(m)
+    assert points.dtype == np.float64 and points.shape == (0, 2)
+    with pytest.raises(EmptyMaskError, match="^cannot trace an empty mask$"):
+        trace_boundary(m)
+    with pytest.raises(EmptyMaskError, match="^cannot encode an empty mask$"):
+        trace_object(m)
+    assert compare_masks(m, m) == MetricsReport(iou=1.0, hausdorff=0.0, mcc=0.0,
+                                                 fp_rate=0.0, fn_rate=0.0)
+    assert confusion(m, m) == ConfusionCounts(tp=0, tn=m.size, fp=0, fn=0)
 
 
 def point_in_polygon(px, py, verts):
@@ -552,6 +580,19 @@ class TestPolygonStacks:
             with pytest.raises(ValueError, match=r"\(B, n, 2\)"):
                 fn(np.zeros(shape), 8, 8)
         assert fn(np.zeros((0, 3, 2)), 8, 5).shape == (0, 5, 8)
+
+    @pytest.mark.parametrize("fn", [rasterize_polygon, polygon_to_mask])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["+inf", "-inf"])
+    def test_infinite_vertices_are_rejected(self, fn, stacked, axis, value):
+        # unchecked, the fill meets inf - inf and a NaN crossing shapes the raster
+        verts = np.array([(1.0, 1.0), (6.0, 1.0), (6.0, 6.0), (1.0, 6.0)])
+        verts[3, axis] = value
+        if stacked:
+            verts = np.stack([verts + 0.5, verts])
+        with pytest.raises(ValueError, match="vertices must not be infinite"):
+            fn(verts, 8, 8)
 
 
 def test_import_leaves_out_scipy_sparse_graphs():
