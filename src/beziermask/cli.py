@@ -96,32 +96,29 @@ def cmd_encode(args) -> int:
 
 # ---------------------------------------------------------------- decode / render
 
-def _read_contour(args) -> fitting.PiecewiseContour:
-    """The contour JSON named on the command line, once --samples is checked."""
-    if args.samples < 2:
-        raise BezierMaskError(f"--samples must be >= 2, got {args.samples}")
-    return fitting.contour_from_json(Path(args.contour).read_text())
+def _raster(contour, width: int, height: int, samples: int) -> np.ndarray:
+    """The contour scaled to a width x height frame, decoded at `samples`
+    points per segment and filled: how each command turns it into pixels."""
+    poly = fitting.decode_contour(fitting.scale_contour(contour, width, height), samples)
+    return mask_ops.polygon_to_mask(poly, width, height)
 
 
 def cmd_decode(args) -> int:
-    contour = _read_contour(args)
-    width = args.width or contour.width
-    height = args.height or contour.height
-    scaled = fitting.scale_contour(contour, width, height)
-    poly = fitting.decode_contour(scaled, args.samples)
-    raster = mask_ops.polygon_to_mask(poly, width, height)
+    contour = fitting.contour_from_json(Path(args.contour).read_text())
+    raster = _raster(contour, args.width or contour.width, args.height or contour.height,
+                     args.samples)
     _write_atomic(Path(args.out), mask_ops.save_pgm(raster))
     return 0
 
 
 def cmd_render(args) -> int:
-    contour = _read_contour(args)
-    poly = fitting.decode_contour(contour, args.samples)
-    img = np.zeros((contour.height, contour.width), dtype=bool)
-    x, y = np.floor(poly).T
-    inside = (x >= 0) & (x < contour.width) & (y >= 0) & (y < contour.height)
-    img[y[inside].astype(int), x[inside].astype(int)] = True
-    _write_atomic(Path(args.out), mask_ops.save_pgm(img))
+    # the boundary of decode's raster at the contour's own frame
+    contour = fitting.contour_from_json(Path(args.contour).read_text())
+    fill = _raster(contour, contour.width, contour.height, args.samples)
+    x, y = mask_ops.boundary_points(fill).astype(int).T
+    outline = np.zeros_like(fill)
+    outline[y, x] = True
+    _write_atomic(Path(args.out), mask_ops.save_pgm(outline))
     return 0
 
 
@@ -129,11 +126,9 @@ def cmd_render(args) -> int:
 
 def _load_pred(path: Path, gt_shape) -> np.ndarray:
     if path.suffix == ".json":
-        contour = fitting.contour_from_json(path.read_text())
         h, w = gt_shape
-        scaled = fitting.scale_contour(contour, w, h)
-        poly = fitting.decode_contour(scaled, fitting.DEFAULT_SAMPLES)
-        return mask_ops.polygon_to_mask(poly, w, h)
+        return _raster(fitting.contour_from_json(path.read_text()), w, h,
+                       fitting.DEFAULT_SAMPLES)
     return mask_ops.load_pgm(path.read_bytes())
 
 
@@ -236,17 +231,14 @@ def cmd_gradcheck(args) -> int:
 def _fd_gradient(pred, gt, n, seed):
     step = 1e-5
     base = fitting.flatten(pred)
-    out = np.empty(40)
-    for i in range(40):
-        hi, lo = base.copy(), base.copy()
-        hi[i] += step
-        lo[i] -= step
-        lhi = decoder.contour_loss(fitting.unflatten(hi, pred.width, pred.height),
-                                   gt, n=n, seed=seed).total
-        llo = decoder.contour_loss(fitting.unflatten(lo, pred.width, pred.height),
-                                   gt, n=n, seed=seed).total
-        out[i] = (lhi - llo) / (2.0 * step)
-    return out
+
+    def loss(i, h):
+        x = base.copy()
+        x[i] += h
+        return decoder.contour_loss(fitting.unflatten(x, pred.width, pred.height),
+                                    gt, n=n, seed=seed).total
+
+    return np.array([(loss(i, step) - loss(i, -step)) / (2.0 * step) for i in range(40)])
 
 
 # ---------------------------------------------------------------- parser

@@ -49,8 +49,8 @@ class PiecewiseContour:
     segment (k+1) % 4 starts, and the four junctions are the extreme
     points in top -> leftmost -> bottom -> rightmost order. The shape,
     d >= 1, finite values, the chained junctions and a frame of at least
-    1 x 1 are checked once, here; `segments` derives BezierSegment views
-    of the rows.
+    1 x 1 are checked once, here, and width and height are stored as
+    ints (see _whole); `segments` derives BezierSegment views of the rows.
     """
 
     control_points: np.ndarray
@@ -58,6 +58,7 @@ class PiecewiseContour:
     height: int
 
     def __post_init__(self):
+        self.width, self.height = _whole(self.width, "width"), _whole(self.height, "height")
         cp = np.asarray(self.control_points, dtype=float)
         if cp.ndim != 3 or cp.shape[0] != 4 or cp.shape[2] != 2:
             raise ContourFormatError(
@@ -245,10 +246,10 @@ def contour_to_json(contour: PiecewiseContour) -> str:
     })
 
 
-def _whole(doc: dict, key: str) -> int:
-    """doc[key] as an int if it is a whole number: 64 or 64.0, not 64.9 or true."""
-    v = doc[key]
-    if type(v) is int or type(v) is float and v.is_integer():
+def _whole(v, key: str) -> int:
+    """v as an int if it is a whole number: 64, 64.0 or np.int64(64), not 64.9 or True."""
+    if (type(v) is int or isinstance(v, np.integer)
+            or isinstance(v, (float, np.floating)) and v.is_integer()):
         return int(v)
     raise ContourFormatError(f"{key} must be a whole number, got {v!r}")
 
@@ -262,11 +263,11 @@ def contour_from_json(text: str) -> PiecewiseContour:
     except json.JSONDecodeError as e:
         raise ContourFormatError(f"invalid JSON: {e}") from e
     try:
-        if _whole(doc, "version") != 1:
+        if _whole(doc["version"], "version") != 1:
             raise ContourFormatError(f"unsupported version {doc['version']}")
         cp = np.array([s["control_points"] for s in doc["segments"]], dtype=float)
-        contour = PiecewiseContour(cp, _whole(doc, "width"), _whole(doc, "height"))
-        if _whole(doc, "degree") != contour.degree:
+        contour = PiecewiseContour(cp, doc["width"], doc["height"])
+        if _whole(doc["degree"], "degree") != contour.degree:
             raise ContourFormatError(
                 f"degree {doc['degree']} but {contour.degree + 1} points per segment")
         return contour

@@ -5,13 +5,16 @@ import errno
 import io
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from beziermask import fitting, metrics
-from beziermask.cli import main
-from beziermask.mask import load_pgm, polygon_to_mask, save_pgm
+from beziermask.cli import build_parser, main
+from beziermask.mask import boundary_points, load_pgm, polygon_to_mask, save_pgm
 
 
 def write_pgm(path, mask):
@@ -133,18 +136,24 @@ class TestDecodeRenderEval:
         # an outline is sparse compared to the filled shape
         assert outline.sum() < 0.2 * outline.size
 
-    def test_render_stamps_only_vertices_in_the_frame(self, encoded, tmp_path):
+    def test_render_draws_the_decoded_raster_boundary(self, encoded, tmp_path):
+        """render stamps boundary_points of the raster that decode writes,
+        so its outline is closed at any frame size. Stamping the decoded
+        vertices left gaps wherever they lay more than a pixel apart."""
         contour = fitting.contour_from_json((encoded / "blob0.json").read_text())
-        want = np.zeros((contour.height, contour.width), dtype=bool)
-        cols, rows = np.floor(fitting.decode_contour(contour, 128)).astype(int).T
+        src = tmp_path / "big.json"
+        src.write_text(fitting.contour_to_json(fitting.scale_contour(contour, 640, 512)))
+        fill, out = tmp_path / "fill.pgm", tmp_path / "outline.pgm"
+        assert run("decode", src, "--out", fill) == 0
+        assert run("render", src, "--out", out) == 0
+        assert ndimage.label(read_pgm(out), structure=np.ones((3, 3)))[1] == 1
+        want = np.zeros((512, 640), dtype=bool)
+        cols, rows = boundary_points(read_pgm(fill)).astype(int).T
         want[rows, cols] = True
-        out = tmp_path / "in.pgm"
-        assert run("render", encoded / "blob0.json", "--out", out) == 0
         assert out.read_bytes() == save_pgm(want)
         # the same contour moved one frame width to the right draws nothing
         shifted = fitting.PiecewiseContour(contour.control_points + [contour.width, 0.0],
                                            contour.width, contour.height)
-        src = tmp_path / "shifted.json"
         src.write_text(fitting.contour_to_json(shifted))
         assert run("render", src, "--out", out) == 0
         assert not read_pgm(out).any()
@@ -172,6 +181,17 @@ class TestDecodeRenderEval:
         want = io.StringIO()
         csv.writer(want).writerows(metrics.csv_rows(stems, reports, metrics.summarize(reports)))
         assert out.read_bytes() == want.getvalue().encode()
+
+    def test_eval_of_json_equals_eval_of_decoded_pgm(self, encoded, mask_dir, tmp_path):
+        """eval rasterizes a JSON prediction as decode does at the ground
+        truth's frame, so scoring either gives the same rows."""
+        decoded = tmp_path / "decoded"
+        for src in sorted(encoded.glob("*.json")):
+            assert run("decode", src, "--out", decoded / f"{src.stem}.pgm") == 0
+        from_json, from_pgm = tmp_path / "json.csv", tmp_path / "pgm.csv"
+        assert run("eval", "--pred", encoded, "--gt", mask_dir, "--out", from_json) == 0
+        assert run("eval", "--pred", decoded, "--gt", mask_dir, "--out", from_pgm) == 0
+        assert from_json.read_bytes() == from_pgm.read_bytes()
 
     def test_eval_write_failing_part_way_keeps_the_old_csv(self, encoded, mask_dir, tmp_path,
                                                            capsys, monkeypatch):
@@ -354,3 +374,14 @@ class TestStudies:
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--count", "5") == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    """Every beziermask line of README's shell examples is a valid command
+    line, so renaming or removing a flag fails here and not for a reader."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln for ln in readme.splitlines() if ln.startswith("beziermask ")]
+    assert lines
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.fn)

@@ -408,6 +408,29 @@ class TestContourJson:
         with pytest.raises(ContourFormatError):
             contour_from_json('{"version": 2}')
 
+    @pytest.mark.parametrize("width", [16, 16.0, np.int64(16), np.int32(16), np.float64(16.0)],
+                             ids=repr)
+    def test_whole_frames_are_stored_as_ints(self, width):
+        c = unflatten(np.arange(40.0) / 4, 16, 16)
+        for made in (scale_contour(c, width, 16), PiecewiseContour(c.control_points, 16, width)):
+            assert type(made.width) is int and type(made.height) is int
+            back = contour_from_json(contour_to_json(made))
+            assert (back.width, back.height) == (16, 16)
+
+    @pytest.mark.parametrize("width", [16.5, True, np.bool_(True), "16", np.float64(16.5),
+                                       float("nan"), float("inf")], ids=repr)
+    def test_other_frames_are_rejected(self, width):
+        """contour_to_json would write these as a frame that contour_from_json
+        rejects, or fail to write them at all."""
+        c = unflatten(np.arange(40.0) / 4, 16, 16)
+        with pytest.raises(ContourFormatError, match="width must be a whole number"):
+            PiecewiseContour(c.control_points, width, 16)
+        with pytest.raises(ContourFormatError, match="height must be a whole number"):
+            unflatten(flatten(c), 16, width)
+        if type(width) is float and np.isfinite(width):
+            with pytest.raises(ContourFormatError, match="width must be a whole number"):
+                scale_contour(c, width, 16)
+
 
 def test_scale_contour_preserves_closure():
     rng = np.random.default_rng(23)
