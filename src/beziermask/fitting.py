@@ -106,6 +106,9 @@ def find_extreme_points(trace: BoundaryTrace) -> tuple:
 
     def pick(primary, secondary):
         best = np.flatnonzero(primary == primary.min())
+        if best.size == 0:  # the minimum is NaN, which equals nothing
+            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
+            raise DegenerateShapeError(f"trace has non-finite points at indices {bad}")
         return int(best[np.argmin(secondary[best])])
 
     return pick(y, x), pick(x, -y), pick(-y, -x), pick(-x, y)
@@ -276,6 +279,8 @@ def contour_from_json(text: str) -> PiecewiseContour:
 
 
 def scale_contour(contour: PiecewiseContour, width: int, height: int) -> PiecewiseContour:
-    """Rescale control points to a new frame without refitting."""
+    """Rescale control points to a new frame without refitting. A frame
+    that is not whole raises ContourFormatError before any arithmetic."""
+    width, height = _whole(width, "width"), _whole(height, "height")
     scale = [width / contour.width, height / contour.height]
     return PiecewiseContour(contour.control_points * scale, width, height)

@@ -64,6 +64,18 @@ class TestExtremePoints:
         with pytest.raises(DegenerateShapeError):
             find_extreme_points(BoundaryTrace(np.array([[1.0, 1.0], [2.0, 1.0]])))
 
+    @pytest.mark.parametrize("column", [0, 1, slice(None)], ids=["x", "y", "both"])
+    def test_non_finite_trace_raises(self, column):
+        """A NaN coordinate is the minimum but equals nothing: named, not
+        numpy's argmin of an empty sequence."""
+        from beziermask.mask import BoundaryTrace
+        pts = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0], [1.5, 3.0]])
+        pts[[1, 3], column] = np.nan
+        with pytest.raises(DegenerateShapeError, match=r"non-finite points at indices \[1, 3\]"):
+            find_extreme_points(BoundaryTrace(pts))
+        with pytest.raises(DegenerateShapeError, match="non-finite"):
+            find_extreme_points(BoundaryTrace(np.full((6, 2), np.nan)))
+
 
 class TestSplitBoundary:
     """encode_trace cuts the trace into 4 arcs, arc k from extreme k to
@@ -427,9 +439,11 @@ class TestContourJson:
             PiecewiseContour(c.control_points, width, 16)
         with pytest.raises(ContourFormatError, match="height must be a whole number"):
             unflatten(flatten(c), 16, width)
-        if type(width) is float and np.isfinite(width):
-            with pytest.raises(ContourFormatError, match="width must be a whole number"):
-                scale_contour(c, width, 16)
+        # before any arithmetic: inf times a zero coordinate would warn first
+        with pytest.raises(ContourFormatError, match="width must be a whole number"):
+            scale_contour(c, width, 16)
+        with pytest.raises(ContourFormatError, match="height must be a whole number"):
+            scale_contour(c, 16, width)
 
 
 def test_scale_contour_preserves_closure():

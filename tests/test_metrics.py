@@ -2,8 +2,12 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import beziermask
 from beziermask import (ConfusionCounts, MetricsReport, compare_masks,
                         confusion, fp_fn_rates, hausdorff, iou, mcc,
                         summarize)
@@ -273,6 +278,24 @@ def test_boundary_points_memory_follows_the_packed_box():
     size = 4096
     pred, _ = blob_pair(size)
     assert traced_peak(boundary_points, pred) < 0.5 * size * size
+
+
+def test_round_trip_scores_leave_out_scipy():
+    """compare_masks answers the Hausdorff queries of round-trip pairs on
+    row bands, so eval of such pairs never imports scipy's k-d tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(beziermask.__file__).parents[1]))
+    code = ("import sys\n"
+            "from beziermask import compare_masks, decode_contour, encode_mask, polygon_to_mask\n"
+            "from beziermask.experiments import ShapeSpec, generate_shape\n"
+            "for size in (256, 2048):\n"
+            "    gt = generate_shape(ShapeSpec('blob', size, size, 1000))\n"
+            "    pred = polygon_to_mask(decode_contour(encode_mask(gt)[0], 128), size, size)\n"
+            "    print(compare_masks(pred, gt).hausdorff)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert float(out[0]) > 0 and float(out[1]) > 0  # distances were taken
+    assert out[2] == "[]"
 
 
 class TestSummarize:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import ndimage
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, directed_hausdorff
 
 from beziermask import (BezierMaskError, BezierSegment, ConfusionCounts, ContourFormatError, boundary_points, compare_masks,
                         confusion, contour_from_json, contour_to_json, fp_fn_rates, iou, mcc,
@@ -42,6 +42,7 @@ from beziermask.decoder import _loss_samples
 from beziermask.errors import DegenerateShapeError, EmptyMaskError, PgmFormatError, UndefinedMetricError
 from beziermask.fitting import RCOND, encode_trace
 from beziermask.experiments import ShapeSpec, generate_shape
+from beziermask import metrics
 from beziermask.mask import _component_count, _disc
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
@@ -238,8 +239,14 @@ def cdist_hausdorff(a, b):
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     if len(a) == 0 or len(b) == 0:
         raise UndefinedMetricError("Hausdorff distance needs non-empty sets")
-    d = cdist(a, b)
-    hd = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    # the all-pairs matrix, 2048 rows at a time, so that boundaries of
+    # large frames fit in memory
+    near_a, near_b = np.empty(len(a)), np.full(len(b), np.inf)
+    for i in range(0, len(a), 2048):
+        d = cdist(a[i:i + 2048], b)
+        near_a[i:i + 2048] = d.min(axis=1)
+        np.minimum(near_b, d.min(axis=0), out=near_b)
+    hd = float(max(near_a.max(), near_b.max()))
     top = max(np.abs(a).max(), np.abs(b).max())
     if 0.0 < top < 2.0 ** -500 or hd == math.inf:
         # squares would leave the doubles' range: scale by a power of two
@@ -248,10 +255,17 @@ def cdist_hausdorff(a, b):
     return hd
 
 
-def full_compare_masks(pred, gt):
+def directed_hausdorff_both(a, b):
+    """scipy's early-break directed_hausdorff both ways: exact (a sum of
+    squares per pair, like cdist's) and with no tree, for boundaries too
+    large for the all-pairs matrix."""
+    return float(max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0]))
+
+
+def full_compare_masks(pred, gt, distance=cdist_hausdorff):
     counts = ConfusionCounts(*full_confusion(pred, gt))
     try:
-        hd = cdist_hausdorff(full_boundary_points(pred), full_boundary_points(gt))
+        hd = distance(full_boundary_points(pred), full_boundary_points(gt))
     except UndefinedMetricError:
         hd = 0.0 if not (np.any(pred) or np.any(gt)) else math.nan
     fp_rate, fn_rate = fp_fn_rates(counts)
@@ -986,6 +1000,79 @@ def test_hausdorff():
     for a, b in roundtrip_boundaries() + unprunable_pairs() + extreme_magnitudes():
         assert_same(hausdorff(a, b), cdist_hausdorff(a, b))
         assert_same(hausdorff(b, a), cdist_hausdorff(b, a))
+
+
+def roundtrip_pair(kind, size, seed):
+    """(the encode -> decode -> polygon_to_mask raster of a shape, the shape)"""
+    m = generate_shape(ShapeSpec(kind, size, size, seed, 0.7))
+    contour, _ = encode_mask(m)
+    return polygon_to_mask(decode_contour(contour, 128), size, size), m
+
+
+def raster_hausdorff_pairs():
+    """Mask pairs for compare_masks's Hausdorff distance on raster-ordered
+    boundaries: round trips, where row bands answer every query; noise
+    and dissimilar shapes, where they hold too many points and the k-d
+    tree takes over; identical masks, where no point is queried; and
+    lines, single pixels, objects on the frame border and a frame wider
+    than 65,536 pixels (no uint16 column sort)."""
+    for size in (64, 256, 2048):
+        for i, kind in enumerate(("blob", "ellipse", "dumbbell")):
+            yield f"roundtrip-{kind}-{size}", roundtrip_pair(kind, size, 1000 + i)
+    rng = np.random.default_rng(12)
+    for density in (0.05, 0.3):
+        yield f"noise-{density}", (rng.random((512, 512)) < density, rng.random((512, 512)) < density)
+    yield "blob-dumbbell", (generate_shape(ShapeSpec("blob", 2048, 2048, 1000, 0.7)),
+                            generate_shape(ShapeSpec("dumbbell", 2048, 2048, 1002, 0.7)))
+    m = generate_shape(ShapeSpec("blob", 256, 256, 1000, 0.7))
+    yield "rolled", (m, np.roll(m, 100, axis=1))
+    yield "identical", (m, m.copy())
+    row, column = boxes((40, 50), (20, 21, 5, 45)), boxes((40, 50), (2, 38, 25, 26))
+    yield "lines", (row, column)
+    yield "line-diagonal", (row, np.eye(40, 50, dtype=bool))
+    pixel, far_pixel = boxes((30, 30), (3, 4, 5, 6)), boxes((30, 30), (20, 21, 27, 28))
+    yield "pixels", (pixel, far_pixel)
+    yield "pixel-disc", (pixel, disc(30, 30, 15, 15, 8))
+    yield "border", (boxes((30, 40), (0, 30, 0, 3), (0, 2, 0, 40)),
+                     boxes((30, 40), (27, 30, 0, 40), (0, 30, 37, 40)))
+    yield "wide", (rng.random((1, 70000)) < 0.01, rng.random((1, 70000)) < 0.01)
+
+
+def test_raster_hausdorff(monkeypatch):
+    """compare_masks's distance on raster-ordered boundaries has the
+    oracle's bits, and the pairs take each branch: bands only, the k-d
+    tree, and a direction with no point left to query."""
+    trees, seen = [0], []
+    real_tree, real_farthest = metrics._tree_nearest, metrics._farthest
+
+    def tree_nearest(points, other):
+        nearest = real_tree(points, other)
+
+        def counted(idx, bound):
+            trees[0] += 1
+            return nearest(idx, bound)
+        return counted
+
+    def farthest(bound, low, nearest):
+        calls, before = [], trees[0]
+        out = real_farthest(bound, low, lambda idx, b: calls.append(len(idx)) or nearest(idx, b))
+        seen.append("none" if not calls else "bands" if trees[0] == before else "tree")
+        return out
+
+    monkeypatch.setattr(metrics, "_tree_nearest", tree_nearest)
+    monkeypatch.setattr(metrics, "_farthest", farthest)
+    branches = {}
+    for name, (pred, gt) in raster_hausdorff_pairs():
+        # 78,000 points a side: the all-pairs matrix would take minutes
+        distance = directed_hausdorff_both if name == "noise-0.3" else cdist_hausdorff
+        del seen[:]
+        assert_same(report_bits(compare_masks, pred, gt),
+                    report_bits(lambda p, g: full_compare_masks(p, g, distance), pred, gt)), name
+        branches.update(dict.fromkeys(seen, name))
+        if name == "noise-0.05":  # the early-break oracle agrees where both run
+            a, b = boundary_points(pred), boundary_points(gt)
+            assert_same(directed_hausdorff_both(a, b), cdist_hausdorff(a, b))
+    assert branches.keys() == {"none", "bands", "tree"}
 
 
 def roundtrip_boundaries():
