@@ -13,8 +13,13 @@ Components are labelled from row runs: one pass over the box, padded by
 a background pixel on every side, finds each run; two searchsorted calls
 find the runs of the next row that each run touches, and a union of the
 runs by hooking and pointer jumping joins them in a few O(runs) array
-passes per hooking round. The Moore walk reads that same padded grid in
-place, or the grid of the smoothed runs, other components and all.
+passes per hooking round. The boundary is traced from the kept runs
+too, by following the cracks between pixels: each run end is a
+vertical crack, and sorting the run ends on each grid line pairs the
+cracks into the object's crack contours, O(runs * log(runs)) time. One
+Python step per two cracks walks the outer contour from the first run,
+so holes are not traced, and one sort of the pixels along it keeps each
+pixel's first occurrence, O(boundary * log(boundary)) time.
 The disc smoothing is interval coding on those runs (Ji, Piper & Tang
 1989; Breuel 2008): a dilation is the union of the runs moved by each
 disc row and widened by its half-width, an erosion is where all the runs
@@ -234,15 +239,27 @@ def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
     The filter runs on the row runs of the foreground's padded bounding
     box as in the unbounded plane, and its result lies within that box:
     one pass over the box and O(runs * radius * log) time besides zeroing
-    the output frame.
+    the output frame. A radius that is not an integer raises TypeError,
+    a negative one ValueError.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    radius = _radius(radius)
     mask = _as_2d(mask)
     out = np.zeros(mask.shape, dtype=bool)
     box, grid, starts, stops = _runs(mask)
     out[box] = _grid(*_smooth(starts, stops, grid.shape[1], radius), grid.shape)[1:-1, 1:-1]
     return out
+
+
+def _radius(radius) -> int:
+    """A smoothing radius as an int: TypeError unless it is an integer
+    (operator.index), ValueError if it is negative."""
+    try:
+        radius = operator.index(radius)
+    except TypeError:
+        raise TypeError(f"radius must be an integer, not {type(radius).__name__}") from None
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    return radius
 
 
 def _smooth(starts: np.ndarray, stops: np.ndarray, stride: int, radius: int):
@@ -281,20 +298,18 @@ def _disc(radius: int) -> np.ndarray:
     return dx * dx + dy * dy <= (radius + 0.5) ** 2
 
 
-# Moore neighborhood in counterclockwise screen order (y down), so a
-# trace from the top-left-most pixel heads down the object's left side
-# first: top -> leftmost -> bottom -> rightmost.
-_MOORE = [(0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)]
-
-
 def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
-    """Moore-neighbor boundary trace of a single 8-connected object.
-
-    Starts at the top-left-most foreground pixel. Returned pixel centers
+    """Moore-neighbour boundary trace of a single 8-connected object: its
+    outer boundary pixels, counterclockwise on screen from the
+    top-left-most one, down its left side first. Returned pixel centers
     are unique; spur pixels walked twice are kept at first occurrence.
+    Holes are not traced.
+
     The single-component check labels the row runs of the padded
     bounding box, one pass over the box plus a few O(runs) array passes
-    per hooking round, and the walk reads that same grid.
+    per hooking round, and the trace follows the cracks of those runs:
+    O(runs * log(runs)) to pair them, O(boundary * log(boundary)) to
+    keep first occurrences (_run_trace).
     """
     box, grid, starts, stops = _runs(_as_2d(mask))
     if starts.size == 0:
@@ -302,82 +317,125 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
     ncomp = _label(starts, stops, grid.shape[1])[0]
     if ncomp != 1:
         raise DegenerateShapeError(f"expected one component, found {ncomp}")
-    return _moore_walk(grid, int(starts[0]), box)
+    return _run_trace(starts, stops, grid.shape[1], box)
 
 
 def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
-    """The boundary encode_mask fits: of the largest component, after an
-    optional morphological smoothing (whose own largest component
-    replaces it unless empty). The component is labelled once from the
-    row runs of the padded bounding box, one pass over the box plus a
-    few O(runs) array passes per hooking round, and walked on one grid,
-    other components left in it: the padded box, or the smoothed runs'
-    grid that replaces it. Besides the runs, at most two bytes per box
-    pixel are held at once.
+    """The boundary encode_mask fits: trace_boundary of the largest
+    component, after an optional morphological smoothing (whose own
+    largest component replaces it unless empty). The component is
+    labelled once from the row runs of the padded bounding box, one pass
+    over the box plus a few O(runs) array passes per hooking round, and
+    traced from its runs alone (_run_trace): O(runs * log(runs)) to pair
+    their cracks, O(boundary * log(boundary)) to keep first occurrences.
+    Holes are not traced. The box's grid and one byte per box pixel of
+    its row comparison are the largest arrays held, both while the runs
+    are found.
 
-    Raises ValueError for a negative smooth_radius, EmptyMaskError on an
-    empty mask and DegenerateShapeError when the object has fewer than 4
-    pixels or its boundary fewer than 4 points.
+    Raises TypeError for a smooth_radius that is not an integer,
+    ValueError for a negative one, EmptyMaskError on an empty mask and
+    DegenerateShapeError when the object has fewer than 4 pixels or its
+    boundary fewer than 4 points.
     """
-    if smooth_radius < 0:
-        raise ValueError("radius must be >= 0")
+    smooth_radius = _radius(smooth_radius)
     box, grid, starts, stops = _runs(_as_2d(mask))
     if starts.size == 0:
         raise EmptyMaskError("cannot encode an empty mask")
-    starts, stops = _largest(starts, stops, grid.shape[1])
+    stride = grid.shape[1]
+    starts, stops = _largest(starts, stops, stride)
     if smooth_radius > 0:
-        smoothed = _smooth(starts, stops, grid.shape[1], smooth_radius)
+        smoothed = _smooth(starts, stops, stride, smooth_radius)
         if smoothed[0].size:
-            grid = _grid(*smoothed, grid.shape)
-            starts, stops = _largest(*smoothed, grid.shape[1])
+            starts, stops = _largest(*smoothed, stride)
     if (stops - starts).sum() < 4:
         raise DegenerateShapeError("object smaller than 4 pixels")
-    trace = _moore_walk(grid, int(starts[0]), box)
+    trace = _run_trace(starts, stops, stride, box)
     if len(trace) < 4:
         raise DegenerateShapeError("boundary shorter than 4 points")
     return trace
 
 
-def _moore_walk(grid: np.ndarray, start: int, box) -> BoundaryTrace:
-    """Moore walk around the 8-connected object of `grid`, the crop of
-    the frame to the slices `box` padded by one background pixel, from
-    its first pixel in scan order, at flat index `start`. It probes only
-    the object's 8-neighbours, so it never reaches other components.
+def _run_trace(starts: np.ndarray, stops: np.ndarray, stride: int, box) -> BoundaryTrace:
+    """trace_boundary of the 8-connected component whose runs, in raster
+    order, are [starts[i], stops[i]) of a padded grid with rows of
+    `stride` pixels, the crop of the frame to the slices `box`.
 
-    The grid is read in place as bytes through a memoryview, every
-    quantity in the loop a Python int, with a table of each backtrack
-    direction's 8 probes in order: a flat offset and the backtrack it
-    leads to. The walk is a deterministic map on (pixel, backtrack)
-    states and stops at the first repeated state, kept as one bit per
-    direction in a byte per pixel; a pixel is kept on its first visit,
-    when its byte is still 0.
+    The Moore trace is the first occurrence of each pixel along the
+    component's outer crack contour, walked from the west edge of its
+    first pixel with the object on the left. Each run gives two vertical
+    cracks: its west crack, heading down and owned by its first pixel,
+    and its east crack, heading up and owned by its last. A crack arrives
+    at one grid line and departs from the next. Along a grid line, the
+    ends of the runs above and below it pair off in order, a start before
+    a stop at one column, which joins diagonal neighbours; each pair is an
+    arrival and a departure joined by a horizontal crack. So the k-th
+    arrival of all lines in order pairs with the k-th departure, and two
+    sorts give every crack's successor. Following them from the first
+    run's west crack takes one Python step per two cracks and never
+    reaches a hole. Each crack then gives its owner and the pixels along
+    its horizontal crack: heading east, those of the row above it;
+    heading west, those of the row below. One sort finds each pixel's
+    first occurrence.
     """
-    stride = grid.shape[1]
-    data = memoryview(grid).cast("B")
-    offsets = [dr * stride + dc for dr, dc in _MOORE]
-    # from the new pixel, the last background probe (d - 1 of the old) is (d & 6) + 6
-    probes = [[(offsets[d & 7], ((d & 6) + 6) & 7) for d in range(b + 1, b + 9)] for b in range(8)]
-    cur = start  # the top-left-most pixel: west of it is background
-    back = 0
-    seen = bytearray(len(data))
-    seen[cur] = 1
-    pixels = [cur]
-    while True:
-        for off, nb in probes[back]:
-            if data[cur + off]:
-                break
-        else:
-            break  # an isolated pixel is its own trace
-        cur += off
-        back = nb
-        visits = seen[cur]
-        if visits >> back & 1:
-            break
-        if not visits:
-            pixels.append(cur)
-        seen[cur] = visits | 1 << back
-    rows, cols = np.divmod(np.array(pixels), stride)
-    points = np.stack([cols + (box[1].start - 1), rows + (box[0].start - 1)], axis=1) + 0.5
+    n = starts.size
+    # crack c < n is the west crack of run c, crack c >= n the east crack
+    # of run c - n. ends[0] holds where each crack arrives and ends[1]
+    # where it departs, as flat positions of the row below the grid line.
+    ends = np.empty((2, 2, n), dtype=starts.dtype)
+    ends[:, 0], ends[:, 1] = starts, stops
+    ends[0, 0] += stride
+    ends[1, 1] += stride
+    arrive, depart = ends.reshape(2, 2 * n)
+    # sort by position, then by crack, so a start sorts first at one
+    # column; each row is two sorted runs, which a stable sort merges
+    bits = (2 * n).bit_length()
+    keys = ends.reshape(2, 2 * n) << bits | np.arange(2 * n)
+    keys[0].sort(kind="stable")
+    keys[1].sort(kind="stable")
+    keys &= (1 << bits) - 1
+    succ = np.empty(2 * n, dtype=keys.dtype)
+    succ[keys[0]] = keys[1]
+    # a closed contour has as many west cracks as east ones, so an even
+    # length: walk every second crack, then put in their successors
+    after = succ[succ].tolist()
+    half = [0]
+    crack = after[0]
+    while crack:
+        half.append(crack)
+        crack = after[crack]
+    cycle = np.empty(2 * len(half) + 1, dtype=succ.dtype)
+    cycle[0:-1:2] = half
+    cycle[1::2] = succ[cycle[0:-1:2]]
+    cycle[-1] = 0
+    cracks = cycle[:-1]
+    # each crack gives its owner, at t = 0, then the pixels along its
+    # horizontal crack from its arrival a to the next crack's departure,
+    # t = 1 .. |run|: a - stride - 1 + t heading east, a - t heading west.
+    # A west crack's owner lies above its arrival, an east crack's left of it
+    a = arrive[cracks]
+    run = depart[cycle[1:]] - a
+    step = np.sign(run)
+    counts = np.abs(run) + 1
+    firsts = np.cumsum(counts) - counts
+    origin = a - (stride + 1) * (run > 0) - step * firsts
+    total = int(firsts[-1] + counts[-1])
+    pixels = np.repeat(origin, counts) + np.repeat(step, counts) * np.arange(total)
+    pixels[firsts] = a - np.where(cracks < n, stride, 1)
+    # (pixel, index) keys, exact while the grid's size times 2 * total is below 2**63
+    bits = total.bit_length()
+    keys = pixels << bits | np.arange(total)
+    keys.sort()
+    pixel = keys >> bits
+    new = np.empty(total, dtype=bool)
+    new[0] = True
+    np.not_equal(pixel[1:], pixel[:-1], out=new[1:])
+    keep = np.empty(total, dtype=bool)
+    keep[keys & ((1 << bits) - 1)] = new
+    pixels = pixels[keep]
+    rows = pixels // stride
+    points = np.empty((pixels.size, 2))
+    np.add(pixels - rows * stride, box[1].start - 0.5, out=points[:, 0])
+    np.add(rows, box[0].start - 0.5, out=points[:, 1])
     return BoundaryTrace(points)
 
 

@@ -306,10 +306,31 @@ class TestTraceBoundary:
         with pytest.raises(ValueError, match="radius must be >= 0"):
             call(m, -1)
 
+    @pytest.mark.parametrize("name", ["trace_object", "morphological_smooth", "encode_mask"])
+    def test_smoothing_radius_must_be_an_integer(self, name):
+        # rejected at the entry, naming the radius, and not inside the
+        # smoothing's integer arithmetic
+        call = {"trace_object": trace_object,
+                "morphological_smooth": morphological_smooth,
+                "encode_mask": lambda m, r: encode_mask(m, 5, r)}[name]
+        m = generate_shape(ShapeSpec("blob", 64, 64, 1, 0.6))
+        with pytest.raises(TypeError, match="^radius must be an integer, not float$"):
+            call(m, 1.5)
+
+    def test_numpy_integer_radius_keeps_outputs(self):
+        m = generate_shape(ShapeSpec("blob", 64, 64, 1, 0.6))
+        for r in (0, 1, 2):
+            got, want = trace_object(m, np.int64(r)).points, trace_object(m, r).points
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            got, want = morphological_smooth(m, np.int64(r)), morphological_smooth(m, r)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_trace_object_memory_is_a_few_bytes_of_the_box(self):
-        # labelling and the walk share one padded byte grid of the
-        # bounding box (0.36 of this frame); int32 labels of the box
-        # alone would take 1.44 B per frame pixel
+        # labelling and the trace work on the runs of one padded byte
+        # grid of the bounding box (0.36 of this frame), found by one
+        # comparison of its rows: those two bytes per box pixel are the
+        # peak, 0.72 B per frame pixel; int32 labels of the box alone
+        # would take 1.44
         size = 4096
         m = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
         tracemalloc.start()
@@ -323,9 +344,11 @@ class TestTraceBoundary:
 
     @pytest.mark.parametrize("speck, bound", [(False, 1.0), (True, 2.0)], ids=["blob", "corner-speck"])
     def test_trace_object_walks_one_grid(self, speck, bound):
-        # the walk reads the labelled grid in place, the speck left in it:
-        # the grid and the walk's visit bytes take one byte per box pixel
-        # each, and the box is 0.38 of this frame, 0.69 with the speck
+        # the trace follows the cracks of the kept runs alone, in
+        # O(runs + boundary) bytes, so the peak is the padded box's grid
+        # and its row comparison, one byte per box pixel each; the box is
+        # 0.36 of this frame (0.72 B per frame pixel), and 0.67 with the
+        # speck, which widens it (1.35)
         size = 4096
         m = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
         if speck:

@@ -1,18 +1,19 @@
 """The bounding-box pixel passes, the boundary and counts on packed rows,
-the labelling of row runs, the k-d tree Hausdorff distance, the
-run-length polygon fill, the array contour codec, the stacked noise
-sweep, the loss's cached sampling operator, its smooth L1 and the PGM
-header grammar against the code they replaced.
+the labelling of row runs, the crack trace of those runs, the k-d tree
+Hausdorff distance, the run-length polygon fill, the array contour
+codec, the stacked noise sweep, the loss's cached sampling operator, its
+smooth L1 and the PGM header grammar against the code they replaced.
 
 The oracles below are the earlier implementations (full-frame passes
-with ndimage.label, the box-local XOR fill, contours as lists of
-BezierSegments fitted on arcs cut point by point, a sweep that
-rasterizes and scores one polygon at a time, a loss that rebuilds its
-operator on every call, a smooth L1 built from where and sign, a token
-loop over the PGM header), kept verbatim in substance: every output
-must be equal bit for bit (values, dtype and shape), and every error of
-the same type. The exceptions are inputs that the old code loaded
-wrongly or rejected wrongly; the tests that hold them say which.
+with ndimage.label, a Moore walk on (pixel, backtrack) tuples, the
+box-local XOR fill, contours as lists of BezierSegments fitted on arcs
+cut point by point, a sweep that rasterizes and scores one polygon at a
+time, a loss that rebuilds its operator on every call, a smooth L1 built
+from where and sign, a token loop over the PGM header), kept verbatim in
+substance: every output must be equal bit for bit (values, dtype and
+shape), and every error of the same type. The exceptions are inputs that
+the old code loaded wrongly or rejected wrongly; the tests that hold
+them say which.
 """
 
 import json
@@ -569,7 +570,48 @@ SHAPED = {
     "one_by_4096": dashes(4096),
     "4096_by_one": dashes(4096).T.copy(),
 }
-MASKS = list(SHAPED.values()) + random_masks(400, seed=1)
+
+
+def from_rows(*rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+def with_holes(m, *holes):
+    m = m.copy()
+    for r, c, h, w in holes:
+        m[r:r + h, c:c + w] = False
+    return m
+
+
+# cases for the crack trace, after the random masks in MASKS so that the
+# tests pairing MASKS by index keep their earlier pairs
+CRACK_CASES = {
+    # diagonal touches: a run above ends at the column where a run below
+    # starts, the reverse, both in one column, and four around a hole
+    "tie_above_ends_where_below_starts": from_rows("###....", "...####"),
+    "tie_below_ends_where_above_starts": from_rows("...####", "###...."),
+    "ties_zigzag": from_rows("#.", ".#", "#.", ".#", "#."),
+    "ties_around_a_hole": from_rows(".#.", "#.#", ".#."),
+    "ties_x": np.eye(7, dtype=bool) | np.eye(7, dtype=bool)[::-1],
+    # 1-px lines and spurs, whose pixels the walk visits twice
+    "line_across": from_rows(".....", "#####", "....."),
+    "line_down": from_rows("..#..", "..#..", "..#..", "..#.."),
+    "antidiagonal": np.eye(6, dtype=bool)[::-1].copy(),
+    "t_junction": from_rows("#######", "...#...", "...#...", "...#..."),
+    "block_with_spurs": from_rows("...#...", "...#...", ".####..", ".#####.", "#####..",
+                                  "..###..", "...#...", "...#..."),
+    "hook": from_rows("####.", "...#.", ".#.#.", ".###."),
+    # holes: only the outer contour is traced
+    "thick_ring": with_holes(np.ones((7, 8), dtype=bool), (2, 2, 3, 4)),
+    "ring_with_speck_in_hole": ring(9, 9) | from_rows(*["." * 9] * 4, "....#....", *["." * 9] * 4),
+    "blob_with_holes": with_holes(disc(24, 26, 13, 12, 10), (6, 8, 3, 3), (14, 13, 4, 2), (11, 5, 1, 1)),
+    # objects on all four borders
+    "cross_to_every_border": np.add.outer(np.abs(np.arange(9) - 4) < 2, np.abs(np.arange(11) - 5) < 2),
+    "disc_cut_by_every_border": disc(12, 14, 7, 6, 8),
+    "frame_without_corners": with_holes(np.ones((6, 7), dtype=bool), (0, 0, 1, 1), (0, 6, 1, 1),
+                                        (5, 0, 1, 1), (5, 6, 1, 1)),
+}
+MASKS = list(SHAPED.values()) + random_masks(400, seed=1) + list(CRACK_CASES.values())
 
 
 # ---------------------------------------------------------------- tests
@@ -605,6 +647,32 @@ def test_trace_object(smooth_radius):
     for m in MASKS:
         assert_same(outcome(trace_object, m, smooth_radius),
                     outcome(full_trace_object, m, smooth_radius))
+
+
+def every_mask(h, w):
+    """All 2 ** (h * w) masks of shape (h, w)."""
+    bits = np.arange(1 << h * w)[:, None] >> np.arange(h * w) & 1
+    return bits.astype(bool).reshape(-1, h, w)
+
+
+def small_random_masks(count, seed):
+    """Masks of 1 to 16 rows and columns, of density 0.1 to 0.95."""
+    rng = np.random.default_rng(seed)
+    return [rng.random(tuple(int(v) for v in rng.integers(1, 17, 2))) < rng.uniform(0.1, 0.95)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (1, 8), (8, 1)])
+def test_crack_trace_every_small_mask(shape):
+    for m in every_mask(*shape):
+        assert_same(outcome(trace_boundary, m), outcome(full_trace_boundary, m))
+        assert_same(outcome(trace_object, m), outcome(full_trace_object, m))
+
+
+def test_crack_trace_random_small_masks():
+    for m in small_random_masks(300, seed=3):
+        check_trace_boundary(m)
+        assert_same(outcome(trace_object, m), outcome(full_trace_object, m))
 
 
 def bench_workloads():
