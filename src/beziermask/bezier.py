@@ -12,6 +12,8 @@ from math import comb
 
 import numpy as np
 
+from .errors import _integer
+
 MAX_DEGREE = 20
 
 # Exact integer binomial rows for every supported degree.
@@ -40,6 +42,7 @@ class BezierSegment:
 
 def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
     """Rows b_{n,i}(t) = binom(n, i) (1-t)^(n-i) t^i, one per t: (len(ts), n+1)."""
+    degree = _integer(degree, "degree")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if degree > MAX_DEGREE:

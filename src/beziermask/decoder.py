@@ -23,6 +23,7 @@ from operator import index
 import numpy as np
 
 from .bezier import basis_matrix
+from .errors import _integer
 from .fitting import _SEGMENT_POINTS, PiecewiseContour, flatten
 
 DEFAULT_NUM_SAMPLES = 72
@@ -86,6 +87,7 @@ class LossValue:
 
 def sample_parameters(n: int, seed: int) -> SampleSet:
     """n uniform ts, each paired with a uniform segment id. Deterministic per seed."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -102,7 +104,9 @@ def _frame_scale(width: int, height: int) -> np.ndarray:
     return scale
 
 
-@lru_cache(maxsize=16)
+# typed: n = 64.0 must miss the entry of n = 64, so that sample_parameters
+# refuses it whatever the cache holds
+@lru_cache(maxsize=16, typed=True)
 def _loss_samples(n: int, seed: int) -> SampleSet:
     return sample_parameters(n, seed)
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import operator
 
 
 class BezierMaskError(Exception):
@@ -23,3 +25,12 @@ class DegenerateShapeError(BezierMaskError):
 
 class UndefinedMetricError(BezierMaskError):
     """Metric is undefined for the given inputs (e.g. empty point set)."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int (operator.index): TypeError naming it unless it is an
+    integer, so 2.5, 2.0 and "8" are refused alike."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None

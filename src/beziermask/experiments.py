@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fitting
 from . import mask as mask_ops
-from .errors import DegenerateShapeError, EmptyMaskError
+from .errors import DegenerateShapeError, EmptyMaskError, _integer
 # trace_boundary is not called here but stays a name of this module:
 # bench/workloads.py binds a span to it in its traced sweep
 from .mask import (BoundaryTrace, polygon_to_mask, rasterize_polygon,  # noqa: F401
@@ -161,7 +161,7 @@ def perturb_contour(contour: fitting.PiecewiseContour, delta: float,
 
 def polygon_baseline(trace: BoundaryTrace, k: int = 20) -> np.ndarray:
     """k evenly indexed trace points, the fixed-budget polygon baseline."""
-    m = len(trace)
+    m, k = len(trace), _integer(k, "k")
     if k < 3:
         raise ValueError("polygon needs k >= 3")
     if m < k:

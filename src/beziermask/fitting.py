@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mask as mask_ops
 from .bezier import BezierSegment, basis_matrix
-from .errors import ContourFormatError, DegenerateShapeError
+from .errors import ContourFormatError, DegenerateShapeError, _integer
 from .mask import BoundaryTrace
 
 # Singular values below this fraction of the largest are treated as
@@ -214,7 +214,7 @@ def decode_contour(contour: PiecewiseContour, samples_per_segment: int) -> np.nd
     junction point between consecutive segments is dropped. One matmul
     of the cached (k, d+1) basis over all four segments.
     """
-    B = _decode_basis(contour.degree, samples_per_segment)
+    B = _decode_basis(contour.degree, _integer(samples_per_segment, "samples_per_segment"))
     return np.matmul(B, contour.control_points)[:, :-1].reshape(-1, 2)
 
 

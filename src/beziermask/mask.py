@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShapeError, EmptyMaskError, PgmFormatError
+from .errors import DegenerateShapeError, EmptyMaskError, PgmFormatError, _integer
 
 
 @dataclass
@@ -252,11 +252,8 @@ def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
 
 def _radius(radius) -> int:
     """A smoothing radius as an int: TypeError unless it is an integer
-    (operator.index), ValueError if it is negative."""
-    try:
-        radius = operator.index(radius)
-    except TypeError:
-        raise TypeError(f"radius must be an integer, not {type(radius).__name__}") from None
+    (errors._integer), ValueError if it is negative."""
+    radius = _integer(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     return radius
@@ -525,20 +522,22 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     frame; memory is the output frames plus O(crossings). An infinite
     coordinate raises ValueError.
     """
-    a, b, single = _polygon(vertices, width, height)
+    a, b, single, width, height = _polygon(vertices, width, height)
     out = _fill(a, b, width, height)
     return out[0] if single else out
 
 
 def _polygon(vertices, width: int, height: int):
-    """(vertices, next vertices, single): the polygons as (B, n, 2) float
-    arrays, after checking the stack, the frame and that no coordinate is
-    infinite, and whether the input was one (n, 2) polygon."""
+    """(vertices, next vertices, single, width, height): the polygons as
+    (B, n, 2) float arrays, after checking the stack, the frame (integers
+    >= 1) and that no coordinate is infinite, whether the input was one
+    (n, 2) polygon, and the frame as ints."""
     a = np.asarray(vertices, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != 2:
         raise ValueError(f"vertices must be an (n, 2) or (B, n, 2) array, not shape {a.shape}")
     if a.shape[-2] < 3:
         raise ValueError("polygon needs at least 3 vertices")
+    width, height = _integer(width, "width"), _integer(height, "height")
     if width < 1 or height < 1:
         raise ValueError("frame must be at least 1x1")
     if np.isinf(a).any():
@@ -546,7 +545,7 @@ def _polygon(vertices, width: int, height: int):
     single = a.ndim == 2
     if single:
         a = a[None]
-    return a, np.concatenate([a[:, 1:], a[:, :1]], axis=1), single
+    return a, np.concatenate([a[:, 1:], a[:, :1]], axis=1), single, width, height
 
 
 def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -625,7 +624,7 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     memory is the output frames plus O(crossings + perimeter in the
     frame).
     """
-    a, b, single = _polygon(vertices, width, height)
+    a, b, single, width, height = _polygon(vertices, width, height)
     out = _fill(a, b, width, height)
     sides = a.shape[1]
     a, step = a.reshape(-1, 2), (b - a).reshape(-1, 2)

@@ -79,10 +79,11 @@ def fp_fn_rates(counts: ConfusionCounts):
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two finite point sets.
 
-    Every distance taken is a k-d tree query's, equal to the all-pairs
-    matrix's. Upper bounds on the points' nearest distances skip each
-    query that cannot raise the maximum (after Taha & Hanbury, TPAMI
-    2015): on boundaries, all but a few hundred of some thousands. Time
+    Every distance taken equals the all-pairs matrix's. Upper bounds on
+    the points' nearest distances skip each query that cannot raise the
+    maximum (after Taha & Hanbury, TPAMI 2015): on boundaries, all but a
+    few hundred of some thousands; the rest are answered on row bands, or
+    by a k-d tree where the bands hold too many points (_hausdorff). Time
     O((N + M) log), memory O(N + M). Each set must be an (N, 2) array of
     (x, y) as floats: another shape, a NaN or an inf raises ValueError,
     and an empty set UndefinedMetricError.
@@ -103,6 +104,7 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     top = np.max([np.abs(a).max(), np.abs(b).max()])
     if not np.isfinite(top):
         raise ValueError("Hausdorff distance needs finite coordinates")
+    a, b = (p[np.argsort(p[:, 1], kind="stable")] for p in (a, b))  # the row bands need ascending y
     if top == 0.0 or top >= 2.0 ** -500:
         d = _hausdorff(a, b)
         if d < math.inf:
@@ -114,12 +116,32 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _hausdorff(a, b) -> float:
+    """The Hausdorff distance of two non-empty sets of finite points, each
+    in ascending y, or inf if a squared distance overflows.
+
+    The bounds are _bracket's in two orders of both sets. The (y, x) order
+    is a stable sort of y * (x range + 2) + x: exact for pixel centres, and
+    a merge of two sorted runs for two raster-ordered sets (_boundary's).
+    The (x, y) order is one stable radix sort of that order by column
+    quantised to uint16, exact for pixel centres fewer than 65,536 columns
+    apart. On other inputs either may order ties loosely, and any order
+    still gives upper bounds. The queries are _band_nearest's.
+    """
+    n = len(a)
     x, y = np.concatenate([a, b]).T.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound costs a query
-        keys = (x * (y.max() - y.min() + 2) + y, y * (x.max() - x.min() + 2) + x)
-        bound = np.minimum(*(_bracket(x, y, np.argsort(k, kind="stable"), len(a)) for k in keys))
-    low = _farthest(bound[:len(a)], 0.0, _tree_nearest(a, b))
-    return float(_farthest(bound[len(a):], low, _tree_nearest(b, a)))
+    p, q = (x[:n], y[:n]), (x[n:], y[n:])
+    # an inf or NaN key (a span of 0, inf or below 2^-1008) only loosens
+    # an order, an inf bound costs a query, and an overflowed distance
+    # leads to the scaled retry
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo = x.min()
+        span = x.max() - lo
+        by_row = np.argsort(y * (span + 2) + x, kind="stable")
+        col = ((x.take(by_row) - lo) * (65535 / span)).astype(np.uint16)
+        by_col = by_row.take(np.argsort(col, kind="stable"))
+        bound = np.minimum(_bracket(x, y, by_row, n), _bracket(x, y, by_col, n))
+        low = _farthest(bound[:n], 0.0, _band_nearest(p, q, _tree_nearest(a, b)))
+        return float(_farthest(bound[n:], low, _band_nearest(q, p, _tree_nearest(b, a))))
 
 
 def _bracket(x, y, order, n: int) -> np.ndarray:
@@ -173,43 +195,18 @@ def _tree_nearest(points, other):
 _BAND_CUTOFF = 8
 
 
-def _raster_hausdorff(a, b, width: int) -> float:
-    """hausdorff(a, b), bit for bit, for two non-empty sets of pixel
-    centres in raster order from a frame `width` pixels wide, as _boundary
-    gives them.
-
-    Every coordinate difference is a whole number. The bounds are
-    _bracket's in two key orders of both sets: by row, where the stable
-    sort only merges two sorted runs, and by column, one stable sort of
-    that order by column (a radix sort of uint16 below 65,536 columns). A
-    queried point's nearest neighbour, at squared distance <= its bound u,
-    lies within sqrt(u) rows of it, so the exact minimum is taken over the
-    other set's points in that band of rows: one searchsorted slice. A
-    batch of queries whose bands hold more than _BAND_CUTOFF points per
-    point of the other set goes to the k-d tree instead.
-    """
-    n = len(a)
-    x, y = np.concatenate([a, b]).T.copy()
-    by_row = np.argsort(y * width + x, kind="stable")
-    col = x.take(by_row)
-    by_col = by_row.take(np.argsort(col.astype(np.uint16) if width <= 1 << 16 else col, kind="stable"))
-    bound = np.minimum(_bracket(x, y, by_row, n), _bracket(x, y, by_col, n))
-    p, q = (x[:n], y[:n]), (x[n:], y[n:])
-    low = _farthest(bound[:n], 0.0, _band_nearest(p, q, _tree_nearest(a, b)))
-    return float(_farthest(bound[n:], low, _band_nearest(q, p, _tree_nearest(b, a))))
-
-
 def _band_nearest(p, q, tree):
-    """nearest(idx, bound) for _farthest on pixel centres p and q, each a
-    pair of x and y arrays, q in raster order: the exact minimum over the
-    band of q's rows that each bound allows, or tree(idx, bound) if the
-    bands hold more than _BAND_CUTOFF * len(q) points."""
+    """nearest(idx, bound) for _farthest on points p and q, each a pair of
+    x and y arrays, q in ascending y: the exact minimum over the band of
+    q's rows that each bound allows, or tree(idx, bound) if the bands hold
+    more than _BAND_CUTOFF * len(q) points."""
     (qx, qy), m = q, len(q[0])
 
     def nearest(idx, bound):
-        # the nearest point has |dy| <= sqrt(u), but for rounding once
-        # squares pass 2^53; every |dy| is whole, so half a row covers it
-        reach = np.sqrt(bound) + 0.5
+        # the nearest point has |dy| <= sqrt(u) but for the roundings of
+        # dy, its square and the root, which the factor covers, and a
+        # square that underflows, which the added 2^-530 covers
+        reach = np.sqrt(bound) * (1 + 2.0 ** -32) + 2.0 ** -530
         px, py = p[0].take(idx), p[1].take(idx)
         lo = np.searchsorted(qy, py - reach)
         count = np.searchsorted(qy, py + reach, "right") - lo
@@ -232,11 +229,11 @@ def compare_masks(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
     the box of bytes holding both foregrounds is found on the packed
     rows and copied into 64-bit words, and the counts (np.bitwise_count)
     and both masks' boundary pixels take O(that box / 64) word
-    operations. The Hausdorff distance relies on the boundaries' raster
-    order (_raster_hausdorff): bounds from two merged key orders, then
-    exact minima over bands of rows for the few points they leave, or a
-    k-d tree when the bands hold too many points (noise, dissimilar
-    masks); it equals hausdorff's bit for bit. Memory: the two packed
+    operations. The Hausdorff distance is hausdorff's core (_hausdorff)
+    on the boundaries, already in raster order: bounds from two key
+    orders, one a merge, then exact minima over bands of rows for the
+    few points they leave, or a k-d tree when the bands hold too many
+    points (noise, dissimilar masks). Memory: the two packed
     frames, 1/8 byte per pixel each, then O(box / 8) bytes; about 0.39 B
     of traced memory per frame pixel on a 4096^2 blob pair. Masks of
     different shapes, or not 2-D, raise ValueError.
@@ -252,7 +249,7 @@ def compare_masks(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
     if not (tp + fp and tp + fn):  # a mask is empty
         hd = math.nan if fp or fn else 0.0
     else:
-        hd = _raster_hausdorff(*_boundary(grid, box), pred.shape[1])
+        hd = _hausdorff(*_boundary(grid, box))
     fp_rate, fn_rate = fp_fn_rates(counts)
     return MetricsReport(iou(counts), hd, mcc(counts), fp_rate, fn_rate)
 

@@ -630,11 +630,53 @@ def test_import_leaves_out_scipy_sparse_graphs():
 
 
 def test_import_leaves_out_scipy():
-    """Encoding, decoding and the command line need numpy only: scipy is
-    imported by metrics.hausdorff, when eval takes a distance."""
+    """Encoding, decoding and the command line need numpy only: scipy's
+    k-d tree is imported by a Hausdorff distance whose row bands hold too
+    many points (noise, dissimilar sets), when it is first taken."""
     env = dict(os.environ, PYTHONPATH=str(Path(beziermask.__file__).parents[1]))
     code = ("import sys, beziermask, beziermask.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def integer_calls():
+    """(name, call(value)) for every entry that takes an integer count or
+    size, each given the value in that argument and valid others; each
+    call returns an array of its output."""
+    from beziermask.bezier import basis_matrix
+    from beziermask.decoder import contour_loss, sample_parameters
+    from beziermask.experiments import polygon_baseline
+    from beziermask.fitting import decode_contour, fit_arc
+    m = generate_shape(ShapeSpec("blob", 64, 64, 1, 0.6))
+    contour, other = encode_mask(m)[0], encode_mask(generate_shape(ShapeSpec("ellipse", 64, 64, 2, 0.6)))[0]
+    triangle = np.array([(1.0, 1.0), (6.0, 1.0), (3.0, 6.0)])
+    trace = trace_boundary(m)
+    return [
+        ("degree", lambda v: encode_mask(m, v)[0].control_points),
+        ("degree", lambda v: fit_arc(trace.points[:20], v)[0].control_points),
+        ("degree", lambda v: basis_matrix(v, np.linspace(0.0, 1.0, 7))),
+        ("samples_per_segment", lambda v: decode_contour(contour, v)),
+        ("width", lambda v: rasterize_polygon(triangle, v, 8)),
+        ("height", lambda v: polygon_to_mask(triangle, 8, v)),
+        ("n", lambda v: sample_parameters(v, 0).ts),
+        ("n", lambda v: contour_loss(other, contour, n=v).gradient),
+        ("k", lambda v: polygon_baseline(trace, v)),
+    ]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "8"])
+def test_integer_arguments_are_checked_at_the_entry(value):
+    # one rule (errors._integer), naming the argument, and not an error
+    # from inside numpy's shape or sampling code
+    for name, call in integer_calls():
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, not {type(value).__name__}$"):
+            call(value)
+
+
+def test_numpy_integer_arguments_keep_outputs():
+    sizes = {"degree": 3, "samples_per_segment": 16, "width": 8, "height": 8, "n": 24, "k": 6}
+    for name, call in integer_calls():
+        got, want = call(np.int64(sizes[name])), call(sizes[name])
+        assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -281,20 +281,21 @@ def test_boundary_points_memory_follows_the_packed_box():
 
 
 def test_round_trip_scores_leave_out_scipy():
-    """compare_masks answers the Hausdorff queries of round-trip pairs on
-    row bands, so eval of such pairs never imports scipy's k-d tree."""
+    """compare_masks and hausdorff answer the queries of round-trip pairs
+    on row bands, so neither imports scipy's k-d tree for such pairs."""
     env = dict(os.environ, PYTHONPATH=str(Path(beziermask.__file__).parents[1]))
     code = ("import sys\n"
-            "from beziermask import compare_masks, decode_contour, encode_mask, polygon_to_mask\n"
+            "from beziermask import (boundary_points, compare_masks, decode_contour, encode_mask,\n"
+            "                        hausdorff, polygon_to_mask)\n"
             "from beziermask.experiments import ShapeSpec, generate_shape\n"
             "for size in (256, 2048):\n"
             "    gt = generate_shape(ShapeSpec('blob', size, size, 1000))\n"
             "    pred = polygon_to_mask(decode_contour(encode_mask(gt)[0], 128), size, size)\n"
-            "    print(compare_masks(pred, gt).hausdorff)\n"
+            "    print(compare_masks(pred, gt).hausdorff, hausdorff(boundary_points(pred), boundary_points(gt)))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split("\n")
-    assert float(out[0]) > 0 and float(out[1]) > 0  # distances were taken
+    assert all(float(d) > 0 for line in out[:2] for d in line.split())  # distances were taken
     assert out[2] == "[]"
 
 

@@ -1078,12 +1078,12 @@ def roundtrip_pair(kind, size, seed):
 
 
 def raster_hausdorff_pairs():
-    """Mask pairs for compare_masks's Hausdorff distance on raster-ordered
-    boundaries: round trips, where row bands answer every query; noise
-    and dissimilar shapes, where they hold too many points and the k-d
-    tree takes over; identical masks, where no point is queried; and
-    lines, single pixels, objects on the frame border and a frame wider
-    than 65,536 pixels (no uint16 column sort)."""
+    """Mask pairs for the Hausdorff distance on boundary pixels: round
+    trips, where row bands answer every query; noise and dissimilar
+    shapes, where they hold too many points and the k-d tree takes over;
+    identical masks, where no point is queried; and lines, single pixels,
+    objects on the frame border and a frame wider than 65,536 pixels,
+    where the (x, y) order's 16-bit columns merge neighbouring ones."""
     for size in (64, 256, 2048):
         for i, kind in enumerate(("blob", "ellipse", "dumbbell")):
             yield f"roundtrip-{kind}-{size}", roundtrip_pair(kind, size, 1000 + i)
@@ -1107,9 +1107,10 @@ def raster_hausdorff_pairs():
 
 
 def test_raster_hausdorff(monkeypatch):
-    """compare_masks's distance on raster-ordered boundaries has the
-    oracle's bits, and the pairs take each branch: bands only, the k-d
-    tree, and a direction with no point left to query."""
+    """compare_masks's distance on its raster-ordered boundaries and the
+    public hausdorff's on the same points, in any order, have the oracle's
+    bits, and the pairs take each branch from both callers: bands only,
+    the k-d tree, and a direction with no point left to query."""
     trees, seen = [0], []
     real_tree, real_farthest = metrics._tree_nearest, metrics._farthest
 
@@ -1129,18 +1130,26 @@ def test_raster_hausdorff(monkeypatch):
 
     monkeypatch.setattr(metrics, "_tree_nearest", tree_nearest)
     monkeypatch.setattr(metrics, "_farthest", farthest)
-    branches = {}
+    branches, public = {}, {}
+    rng = np.random.default_rng(13)
     for name, (pred, gt) in raster_hausdorff_pairs():
         # 78,000 points a side: the all-pairs matrix would take minutes
         distance = directed_hausdorff_both if name == "noise-0.3" else cdist_hausdorff
         del seen[:]
-        assert_same(report_bits(compare_masks, pred, gt),
+        report = compare_masks(pred, gt)
+        assert_same(report_bits(lambda p, g: report, pred, gt),
                     report_bits(lambda p, g: full_compare_masks(p, g, distance), pred, gt)), name
         branches.update(dict.fromkeys(seen, name))
+        a, b = boundary_points(pred), boundary_points(gt)
+        del seen[:]
+        assert_same(hausdorff(a, b), report.hausdorff)
+        public.update(dict.fromkeys(seen, name))
+        # out of raster order, hausdorff sorts by y itself
+        assert_same(hausdorff(rng.permutation(a), rng.permutation(b)), report.hausdorff)
         if name == "noise-0.05":  # the early-break oracle agrees where both run
-            a, b = boundary_points(pred), boundary_points(gt)
             assert_same(directed_hausdorff_both(a, b), cdist_hausdorff(a, b))
     assert branches.keys() == {"none", "bands", "tree"}
+    assert public.keys() == {"none", "bands", "tree"}
 
 
 def roundtrip_boundaries():
@@ -1182,6 +1191,57 @@ def extreme_magnitudes():
         pairs += [(a, rng.normal(0.0, scale, (40, 2))), (a, a[::-1] + scale * 1e-3),
                   (a + 3 * scale, a[:5]), (np.array([[scale, -scale]]), a)]
     return pairs
+
+
+def band_edge_pairs():
+    """Sets at the edges of the row bands' reach and of the two bracket
+    orders: ys one ulp apart; a dy that rounds toward 0; coordinates near
+    2^-499 whose differences lie below about 2^-537, so that their squares
+    underflow or round to a few subnormal units; coordinate ranges that
+    overflow; every point on one column, and on one row; and sets wider
+    than 65,536 columns, whose 16-bit columns merge."""
+    rng = np.random.default_rng(14)
+    pairs = []
+    for y in (1.0, 1e6, 2.0 ** 52):
+        xs = rng.integers(0, 50, (2, 80)) + 0.5
+        up = np.nextafter(y, math.inf)
+        pairs += [(np.stack([xs[0], np.full(80, y)], axis=1), np.stack([xs[1], np.full(80, up)], axis=1)),
+                  (np.stack([xs[0], np.where(xs[0] < 25, y, up)], axis=1),
+                   np.stack([xs[1], np.where(xs[1] < 25, up, y)], axis=1))]
+    # dy = -0.9 - (2^53 + 2) rounds to -(2^53 + 2), short of the exact one
+    pairs.append((np.array([[0.0, 2.0 ** 53 + 2]]), np.array([[0.0, -0.9]])))
+    # beside 2^-499 a step is 2^-551, and a square below 2^-1074 underflows;
+    # 25378 steps square to 2.4 units of 2^-1074, rounded down to 2, so dy
+    # lies outside the root of its own squared distance
+    tiny, step = 2.0 ** -499, 2.0 ** -551
+    pairs.append((np.array([[tiny, tiny]]), np.array([[tiny, tiny + 25378 * step]])))
+    for x_steps, y_steps in ((0, 2 ** 14), (2 ** 10, 2 ** 14), (2 ** 12, 2 ** 16), (2 ** 21, 2 ** 16)):
+        a, b = (np.stack([tiny + rng.integers(0, x_steps + 1, 200) * step,
+                          tiny + rng.integers(0, y_steps, 200) * step], axis=1) for _ in range(2))
+        pairs.append((a, b))
+    big = 1.7e308
+    a = rng.uniform(-1.0, 1.0, (50, 2)) * big
+    pairs += [(a, rng.uniform(-1.0, 1.0, (40, 2)) * big), (np.array([[big, 0.0], [-big, 1.0]]), a),
+              (np.array([[-big, -big]]), np.array([[big, big]]))]
+    u, v = rng.normal(0.0, 30.0, (2, 120))
+
+    def column(ys):
+        return np.stack([np.full(120, 7.5), ys], axis=1)
+
+    def row(xs):
+        return np.stack([xs, np.full(120, -3.0)], axis=1)
+
+    pairs += [(column(u), column(v)), (row(u), row(v)), (column(u), row(v))]
+    for width in (70000, 10 ** 7):
+        pairs.append(tuple(np.stack([rng.integers(0, width, 500) + 0.5, rng.integers(0, 3, 500) + 0.5], axis=1)
+                           for _ in range(2)))
+    return pairs
+
+
+def test_hausdorff_band_edges():
+    for a, b in band_edge_pairs():
+        assert_same(hausdorff(a, b), cdist_hausdorff(a, b))
+        assert_same(hausdorff(b, a), cdist_hausdorff(b, a))
 
 
 # ---------------------------------------------------------------- contour codec
