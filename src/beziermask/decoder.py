@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import index
 
 import numpy as np
 
@@ -86,8 +85,9 @@ class LossValue:
 
 
 def sample_parameters(n: int, seed: int) -> SampleSet:
-    """n uniform ts, each paired with a uniform segment id. Deterministic per seed."""
-    n = _integer(n, "n")
+    """n uniform ts, each paired with a uniform segment id. Deterministic per
+    seed; n and seed must be integers (TypeError otherwise)."""
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -104,8 +104,8 @@ def _frame_scale(width: int, height: int) -> np.ndarray:
     return scale
 
 
-# typed: n = 64.0 must miss the entry of n = 64, so that sample_parameters
-# refuses it whatever the cache holds
+# typed: n = 64.0 or seed = 0.0 must miss the entry of 64 or 0, so that
+# sample_parameters refuses it whatever the cache holds
 @lru_cache(maxsize=16, typed=True)
 def _loss_samples(n: int, seed: int) -> SampleSet:
     return sample_parameters(n, seed)
@@ -173,7 +173,7 @@ def contour_loss(pred: PiecewiseContour, gt: PiecewiseContour,
     l_ce, g_ce = smooth_l1(fp, fg)
 
     # decoding does not mix x and y, so it commutes with the frame scaling
-    J = decode_jacobian(pred, _loss_samples(n, index(seed)))
+    J = decode_jacobian(pred, _loss_samples(n, seed))
     l_match, g_match = smooth_l1(J @ fp, J @ fg)
 
     grad = J.T @ g_match

@@ -33,6 +33,8 @@ class ShapeSpec:
     scale: float = 0.6   # object size as a fraction of the frame
 
     def __post_init__(self):
+        self.width, self.height = _integer(self.width, "width"), _integer(self.height, "height")
+        self.seed = _integer(self.seed, "seed")
         if self.kind not in ("blob", "ellipse", "dumbbell"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if not 0.0 < self.scale <= 1.0:
@@ -106,7 +108,7 @@ def _draw_polygons(spec: ShapeSpec, rng) -> list:
 
 def blob_corpus(count: int, seed: int = 0) -> list:
     """count 256 x 256 blobs at scale 0.6, with seeds seed, seed + 1, ..."""
-    return [generate_shape(ShapeSpec("blob", seed=seed + i)) for i in range(count)]
+    return [generate_shape(ShapeSpec("blob", seed=seed + i)) for i in range(_integer(count, "count"))]
 
 
 def fidelity_study(masks, degree: int = 5,
@@ -183,11 +185,13 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     noisy contours are drawn first and rasterized as (B, n, 2) stacks of
     at most as many frames as fit in 4 MiB of bool pixels (one at least),
     so memory stays linear in frame area. Deltas must be finite and
-    non-negative, and trials at least 1; anything else raises ValueError.
+    non-negative, and trials an integer (TypeError otherwise) of at least
+    1; anything else raises ValueError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas >= 0)):
         raise ValueError("deltas must be finite, non-negative and non-empty")
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sum_b = np.zeros(len(deltas))

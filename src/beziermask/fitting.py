@@ -97,21 +97,21 @@ def find_extreme_points(trace: BoundaryTrace) -> tuple:
 
     top: min y then min x; leftmost: min x then max y; bottom: max y
     then max x; rightmost: max x then min y (i.e. the top-left,
-    bottom-left, bottom-right and top-right corner on ties).
+    bottom-left, bottom-right and top-right corner on ties). A NaN
+    coordinate raises DegenerateShapeError naming the non-finite points.
     """
-    pts = trace.points
-    if len(pts) < 4:
+    if len(trace.points) < 4:
         raise DegenerateShapeError("trace shorter than 4 points")
-    x, y = pts[:, 0], pts[:, 1]
-
-    def pick(primary, secondary):
-        best = np.flatnonzero(primary == primary.min())
-        if best.size == 0:  # the minimum is NaN, which equals nothing
-            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
-            raise DegenerateShapeError(f"trace has non-finite points at indices {bad}")
-        return int(best[np.argmin(secondary[best])])
-
-    return pick(y, x), pick(x, -y), pick(-y, -x), pick(-x, y)
+    pts = np.ascontiguousarray(trace.points, dtype=float)
+    if np.isnan(pts).any():
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1)).tolist()
+        raise DegenerateShapeError(f"trace has non-finite points at indices {bad}")
+    # complex numbers order by real part, then imaginary part, and argmin
+    # and argmax take the first of equals: with w = y + ix and z = x - iy,
+    # each corner's two keys are one complex key
+    w = pts[:, ::-1].copy().view(complex)[:, 0]
+    z = np.conj(pts.view(complex)[:, 0])
+    return int(np.argmin(w)), int(np.argmin(z)), int(np.argmax(w)), int(np.argmax(z))
 
 
 def fit_arc(arc: np.ndarray, degree: int):

@@ -6,12 +6,14 @@ ValueError. Continuous coordinates use the pixel-center convention:
 pixel (row r, col c) sits at (x = c + 0.5, y = r + 0.5), with y growing
 downward. Foreground is 8-connected, background 4-connected.
 
-Labelling, smoothing and tracing work on the bounding box of the
-foreground, found by two bitwise-or reductions over the frame, so their
-cost follows the object rather than the frame.
-Components are labelled from row runs: one pass over the box, padded by
-a background pixel on every side, finds each run; two searchsorted calls
-find the runs of the next row that each run touches, and a union of the
+Labelling, smoothing and tracing work on the row runs of the
+foreground, found on the frame's rows packed 64 pixels to a word: one
+np.packbits pass packs them, one pass over the words marks where each
+pixel differs from the one before it, and only the nonzero words of the
+marks are unpacked, so past the packing the cost follows the runs, and
+the memory is two bits per frame pixel whatever the foreground's extent.
+Components are labelled from those runs: two searchsorted calls find
+the runs of the next row that each run touches, and a union of the
 runs by hooking and pointer jumping joins them in a few O(runs) array
 passes per hooking round. The boundary is traced from the kept runs
 too, by following the cracks between pixels: each run end is a
@@ -121,8 +123,8 @@ def save_pgm(mask: np.ndarray) -> bytes:
 
 def _bbox(mask: np.ndarray):
     """(rows, cols) slices of the smallest box holding every nonzero entry
-    of a 2-D array, both slice(0, 0) when it has none: for a mask, the box
-    of its foreground; for rows packed by _packed, the bytes holding it."""
+    of a 2-D array, both slice(0, 0) when it has none: for rows packed by
+    _packed, the bytes holding the foreground."""
     rows = np.flatnonzero(np.bitwise_or.reduce(mask, axis=1))
     if rows.size == 0:
         return slice(0, 0), slice(0, 0)
@@ -132,30 +134,49 @@ def _bbox(mask: np.ndarray):
 
 
 def _runs(mask: np.ndarray):
-    """(box, grid, starts, stops) of the foreground: grid is the crop of
-    the bounding box `box` padded by one background pixel on every side
-    (2x2 for an empty mask's empty box), and [starts[i], stops[i]) is the
-    extent of its i-th foreground run in the flat grid, in raster order,
-    none for an empty mask. The padding columns end every run in its row."""
-    box = _bbox(mask)
-    grid = np.zeros((box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2), dtype=bool)
-    grid[1:-1, 1:-1] = mask[box]
+    """(starts, stops, stride) of the foreground's row runs, in raster
+    order: [starts[i], stops[i]) is the i-th run in flat bit positions of
+    the frame's rows packed into 64-bit words, `stride` bits a row, pixel
+    (r, c) at r * stride + c; none for an empty mask. At least one zero
+    bit after each row ends every run in its row.
+
+    Bit k of a change word is set where pixel k differs from the pixel
+    before it, bit 63 of the previous word at k = 0: the changes are the
+    starts and stops in turn.
+    """
+    height, width = mask.shape
+    words = width // 64 + 1
+    grid = np.zeros((height, words), dtype="<u8")
+    grid.view(np.uint8)[:, :(width + 7) // 8] = np.packbits(mask, axis=1, bitorder="little")
     flat = grid.ravel()
-    # the grid starts and ends with background, so changes pair up
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    return box, grid, edges[0::2], edges[1::2]
+    change = flat << 1
+    change ^= flat
+    # the carries overwrite the packed words, which are not read again
+    change[1:] ^= np.right_shift(flat[:-1], 63, out=flat[:-1])
+    edges = _set_bits(change)
+    return edges[0::2], edges[1::2], 64 * words
+
+
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    """Ascending flat positions 64 * i + k of the set bits k of the 1-D
+    little-endian 64-bit words[i]; only the nonzero words are unpacked,
+    found on a bool array, as flatnonzero is several times slower on the
+    words themselves."""
+    at = np.flatnonzero(words != 0)
+    bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little").view(bool))
+    return at[bits >> 6] << 6 | bits & 63
 
 
 def _label(starts: np.ndarray, stops: np.ndarray, stride: int):
-    """(count, labels) of the 8-connected components of the runs of a grid
-    with rows of `stride` pixels; labels[i] is the component of run i.
+    """(count, labels) of the 8-connected components of the runs of _runs,
+    with rows of `stride` bits; labels[i] is the component of run i.
 
     Runs in adjacent rows touch when their columns overlap after widening
     each by one column. The runs of the next row that touch run i form
     the range lo[i]:hi[i]. The runs are joined by a union after Shiloach
     and Vishkin. Each run hangs from
     the first run above that touches it; a run that touches none is a
-    root, and a box with one root is one component. Otherwise the trees
+    root, and runs with one root are one component. Otherwise the trees
     are joined in rounds over the touching pairs left out so far: compress
     every path by pointer jumping, then hang the larger root of each pair
     that joins two trees from the smaller root, until no pair does. A run
@@ -197,14 +218,13 @@ def _label(starts: np.ndarray, stops: np.ndarray, stride: int):
 
 def _component_count(mask: np.ndarray) -> int:
     """Number of 8-connected foreground components."""
-    _, grid, starts, stops = _runs(mask)
-    return _label(starts, stops, grid.shape[1])[0]
+    return _label(*_runs(mask))[0]
 
 
 def _largest(starts: np.ndarray, stops: np.ndarray, stride: int):
     """(starts, stops) of the runs of the largest component among the
-    runs [starts[i], stops[i]) of a padded grid with rows of `stride`
-    pixels; the runs themselves when they form one component."""
+    runs [starts[i], stops[i]) of _runs, with rows of `stride` bits; the
+    runs themselves when they form one component."""
     count, labels = _label(starts, stops, stride)
     if count > 1:
         # the largest component; of equal sizes, the one whose first pixel
@@ -218,36 +238,33 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 8-connected foreground component (first in
     scan order on ties).
 
-    Labels the row runs of the foreground's bounding box: one pass over
-    the box plus a few O(runs) array passes per hooking round, and the
-    box's bytes besides the zeroed output frame; the box's grid is
-    rebuilt from the kept runs only when other components are dropped.
+    Labels the row runs of the packed frame (_runs): one packbits pass
+    and one pass over the packed words, then a few O(runs) array passes
+    per hooking round. The result is a copy of the mask when it is one
+    component, and is otherwise written from the kept runs, one np.repeat
+    over the frame.
     """
     mask = _as_2d(mask)
-    out = np.zeros(mask.shape, dtype=bool)
-    box, grid, starts, stops = _runs(mask)
-    kept = _largest(starts, stops, grid.shape[1])
-    if kept[0].size < starts.size:
-        grid = _grid(*kept, grid.shape)
-    out[box] = grid[1:-1, 1:-1]
-    return out
+    starts, stops, stride = _runs(mask)
+    kept = _largest(starts, stops, stride)
+    if kept[0].size == starts.size:
+        return mask.copy()
+    return _frame(*kept, stride, mask.shape)
 
 
 def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
     """Opening followed by closing with a disc of the given radius.
 
-    The filter runs on the row runs of the foreground's padded bounding
-    box as in the unbounded plane, and its result lies within that box:
-    one pass over the box and O(runs * radius * log) time besides zeroing
-    the output frame. A radius that is not an integer raises TypeError,
-    a negative one ValueError.
+    The filter runs on the row runs of the packed frame (_runs) as in the
+    unbounded plane, and its result lies within the runs' bounding box:
+    O(runs * radius * log) time besides the packing and writing the
+    output frame. A radius that is not an integer raises TypeError, a
+    negative one ValueError.
     """
     radius = _radius(radius)
     mask = _as_2d(mask)
-    out = np.zeros(mask.shape, dtype=bool)
-    box, grid, starts, stops = _runs(mask)
-    out[box] = _grid(*_smooth(starts, stops, grid.shape[1], radius), grid.shape)[1:-1, 1:-1]
-    return out
+    starts, stops, stride = _runs(mask)
+    return _frame(*_smooth(starts, stops, stride, radius), stride, mask.shape)
 
 
 def _radius(radius) -> int:
@@ -261,8 +278,8 @@ def _radius(radius) -> int:
 
 def _smooth(starts: np.ndarray, stops: np.ndarray, stride: int, radius: int):
     """(starts, stops) of the opening then closing, by the disc of `radius`,
-    of the runs [starts[i], stops[i]) of a padded grid with rows of
-    `stride` pixels; the result lies within the runs' bounding box. Rows
+    of the runs [starts[i], stops[i]) of _runs, with rows of `stride`
+    bits; the result lies within the runs' bounding box. Rows
     are keyed `radius` wider on each side, so no moved run reaches
     another row, and an erosion counts at most one run per disc row at
     any pixel, as the runs of a row are disjoint.
@@ -302,32 +319,33 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
     are unique; spur pixels walked twice are kept at first occurrence.
     Holes are not traced.
 
-    The single-component check labels the row runs of the padded
-    bounding box, one pass over the box plus a few O(runs) array passes
-    per hooking round, and the trace follows the cracks of those runs:
-    O(runs * log(runs)) to pair them, O(boundary * log(boundary)) to
-    keep first occurrences (_run_trace).
+    The single-component check labels the row runs of the packed frame
+    (_runs), one packbits pass and one pass over the packed words plus a
+    few O(runs) array passes per hooking round, and the trace follows the
+    cracks of those runs: O(runs * log(runs)) to pair them,
+    O(boundary * log(boundary)) to keep first occurrences (_run_trace).
     """
-    box, grid, starts, stops = _runs(_as_2d(mask))
+    starts, stops, stride = _runs(_as_2d(mask))
     if starts.size == 0:
         raise EmptyMaskError("cannot trace an empty mask")
-    ncomp = _label(starts, stops, grid.shape[1])[0]
+    ncomp = _label(starts, stops, stride)[0]
     if ncomp != 1:
         raise DegenerateShapeError(f"expected one component, found {ncomp}")
-    return _run_trace(starts, stops, grid.shape[1], box)
+    return _run_trace(starts, stops, stride)
 
 
 def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     """The boundary encode_mask fits: trace_boundary of the largest
     component, after an optional morphological smoothing (whose own
     largest component replaces it unless empty). The component is
-    labelled once from the row runs of the padded bounding box, one pass
-    over the box plus a few O(runs) array passes per hooking round, and
-    traced from its runs alone (_run_trace): O(runs * log(runs)) to pair
-    their cracks, O(boundary * log(boundary)) to keep first occurrences.
-    Holes are not traced. The box's grid and one byte per box pixel of
-    its row comparison are the largest arrays held, both while the runs
-    are found.
+    labelled once from the row runs of the packed frame (_runs), one
+    packbits pass and one pass over the packed words plus a few O(runs)
+    array passes per hooking round, and traced from its runs alone
+    (_run_trace): O(runs * log(runs)) to pair their cracks,
+    O(boundary * log(boundary)) to keep first occurrences. Holes are not
+    traced. The packed rows and their change words, one bit per frame
+    pixel each, are the largest arrays held, both while the runs are
+    found, whatever the foreground's extent.
 
     Raises TypeError for a smooth_radius that is not an integer,
     ValueError for a negative one, EmptyMaskError on an empty mask and
@@ -335,10 +353,9 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     boundary fewer than 4 points.
     """
     smooth_radius = _radius(smooth_radius)
-    box, grid, starts, stops = _runs(_as_2d(mask))
+    starts, stops, stride = _runs(_as_2d(mask))
     if starts.size == 0:
         raise EmptyMaskError("cannot encode an empty mask")
-    stride = grid.shape[1]
     starts, stops = _largest(starts, stops, stride)
     if smooth_radius > 0:
         smoothed = _smooth(starts, stops, stride, smooth_radius)
@@ -346,16 +363,15 @@ def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
             starts, stops = _largest(*smoothed, stride)
     if (stops - starts).sum() < 4:
         raise DegenerateShapeError("object smaller than 4 pixels")
-    trace = _run_trace(starts, stops, stride, box)
+    trace = _run_trace(starts, stops, stride)
     if len(trace) < 4:
         raise DegenerateShapeError("boundary shorter than 4 points")
     return trace
 
 
-def _run_trace(starts: np.ndarray, stops: np.ndarray, stride: int, box) -> BoundaryTrace:
+def _run_trace(starts: np.ndarray, stops: np.ndarray, stride: int) -> BoundaryTrace:
     """trace_boundary of the 8-connected component whose runs, in raster
-    order, are [starts[i], stops[i]) of a padded grid with rows of
-    `stride` pixels, the crop of the frame to the slices `box`.
+    order, are [starts[i], stops[i]) of _runs, with rows of `stride` bits.
 
     The Moore trace is the first occurrence of each pixel along the
     component's outer crack contour, walked from the west edge of its
@@ -418,7 +434,7 @@ def _run_trace(starts: np.ndarray, stops: np.ndarray, stride: int, box) -> Bound
     total = int(firsts[-1] + counts[-1])
     pixels = np.repeat(origin, counts) + np.repeat(step, counts) * np.arange(total)
     pixels[firsts] = a - np.where(cracks < n, stride, 1)
-    # (pixel, index) keys, exact while the grid's size times 2 * total is below 2**63
+    # (pixel, index) keys, exact while the packed frame's bits times 2 * total are below 2**63
     bits = total.bit_length()
     keys = pixels << bits | np.arange(total)
     keys.sort()
@@ -431,8 +447,8 @@ def _run_trace(starts: np.ndarray, stops: np.ndarray, stride: int, box) -> Bound
     pixels = pixels[keep]
     rows = pixels // stride
     points = np.empty((pixels.size, 2))
-    np.add(pixels - rows * stride, box[1].start - 0.5, out=points[:, 0])
-    np.add(rows, box[0].start - 0.5, out=points[:, 1])
+    np.add(pixels - rows * stride, 0.5, out=points[:, 0])
+    np.add(rows, 0.5, out=points[:, 1])
     return BoundaryTrace(points)
 
 
@@ -493,15 +509,13 @@ def _boundary(grid: np.ndarray, box) -> list:
     interior &= core << 1 | flat[n - 1:-n - 1] >> 63
     interior &= core >> 1 | flat[n + 1:1 - n] << 63
     edge = np.bitwise_xor(core, interior, out=interior)  # core & ~interior
-    at = np.flatnonzero(edge)
-    bits = np.flatnonzero(np.unpackbits(edge[at].view(np.uint8), bitorder="little").view(bool))
-    rows, cols = np.divmod(at[bits >> 6], n)  # grid i's rows from i * height
-    points = np.empty((bits.size, 2))
+    rows, cols = np.divmod(_set_bits(edge), 64 * n)  # grid i's rows from i * height
+    points = np.empty((rows.size, 2))
     # word column 0 is the left padding word, 64 pixels left of the box
-    np.add(cols << 6 | bits & 63, 8 * box[1].start - 63.5, out=points[:, 0])
+    np.add(cols, 8 * box[1].start - 63.5, out=points[:, 0])
     np.add(rows % height, box[0].start + 0.5, out=points[:, 1])
     cuts = np.searchsorted(rows, height * np.arange(1, count)).tolist()
-    return [points[i:j] for i, j in zip([0, *cuts], [*cuts, bits.size])]
+    return [points[i:j] for i, j in zip([0, *cuts], [*cuts, rows.size])]
 
 
 def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -578,9 +592,12 @@ def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
     return _alternating(marks, count * height * width).reshape(count, height, width)
 
 
-def _grid(starts: np.ndarray, stops: np.ndarray, shape) -> np.ndarray:
-    """The bool grid of `shape` holding the sorted flat runs [starts[i], stops[i])."""
-    return _alternating(np.stack([starts, stops], axis=1).ravel(), shape[0] * shape[1]).reshape(shape)
+def _frame(starts: np.ndarray, stops: np.ndarray, stride: int, shape) -> np.ndarray:
+    """The bool frame of `shape` holding the sorted runs [starts[i], stops[i])
+    of _runs, with rows of `stride` bits."""
+    marks = np.stack([starts, stops], axis=1).ravel()
+    marks -= marks // stride * (stride - shape[1])  # row * width + col
+    return _alternating(marks, shape[0] * shape[1]).reshape(shape)
 
 
 def _alternating(marks: np.ndarray, size: int) -> np.ndarray:

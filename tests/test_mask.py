@@ -326,11 +326,11 @@ class TestTraceBoundary:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_trace_object_memory_is_a_few_bytes_of_the_box(self):
-        # labelling and the trace work on the runs of one padded byte
-        # grid of the bounding box (0.36 of this frame), found by one
-        # comparison of its rows: those two bytes per box pixel are the
-        # peak, 0.72 B per frame pixel; int32 labels of the box alone
-        # would take 1.44
+        # labelling and the trace work on the runs found on the frame's
+        # rows packed 64 pixels to a word: the packed rows and their
+        # change words, one bit per frame pixel each, are the peak, about
+        # 0.28 B per frame pixel; int32 labels of the foreground's
+        # bounding box (0.36 of this frame) alone would take 1.44
         size = 4096
         m = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
         tracemalloc.start()
@@ -342,13 +342,13 @@ class TestTraceBoundary:
         assert len(trace) > 1000
         assert peak < 1.5 * size * size
 
-    @pytest.mark.parametrize("speck, bound", [(False, 1.0), (True, 2.0)], ids=["blob", "corner-speck"])
+    @pytest.mark.parametrize("speck, bound", [(False, 1.0), (True, 1.0)], ids=["blob", "corner-speck"])
     def test_trace_object_walks_one_grid(self, speck, bound):
         # the trace follows the cracks of the kept runs alone, in
-        # O(runs + boundary) bytes, so the peak is the padded box's grid
-        # and its row comparison, one byte per box pixel each; the box is
-        # 0.36 of this frame (0.72 B per frame pixel), and 0.67 with the
-        # speck, which widens it (1.35)
+        # O(runs + boundary) bytes, so the peak is the packed rows and
+        # their change words, one bit per frame pixel each, about 0.28 B
+        # per frame pixel; the speck widens the foreground's bounding box
+        # from 0.36 to 0.67 of this frame, which must not cost memory
         size = 4096
         m = generate_shape(ShapeSpec("blob", size, size, 1, 0.6))
         if speck:
@@ -647,7 +647,7 @@ def integer_calls():
     call returns an array of its output."""
     from beziermask.bezier import basis_matrix
     from beziermask.decoder import contour_loss, sample_parameters
-    from beziermask.experiments import polygon_baseline
+    from beziermask.experiments import blob_corpus, polygon_baseline
     from beziermask.fitting import decode_contour, fit_arc
     m = generate_shape(ShapeSpec("blob", 64, 64, 1, 0.6))
     contour, other = encode_mask(m)[0], encode_mask(generate_shape(ShapeSpec("ellipse", 64, 64, 2, 0.6)))[0]
@@ -663,6 +663,13 @@ def integer_calls():
         ("n", lambda v: sample_parameters(v, 0).ts),
         ("n", lambda v: contour_loss(other, contour, n=v).gradient),
         ("k", lambda v: polygon_baseline(trace, v)),
+        ("width", lambda v: generate_shape(ShapeSpec("blob", v, 16, 1))),
+        ("height", lambda v: generate_shape(ShapeSpec("blob", 16, v, 1))),
+        ("seed", lambda v: generate_shape(ShapeSpec("blob", 16, 16, v))),
+        ("count", lambda v: np.array(blob_corpus(v, 0))),
+        ("trials", lambda v: sensitivity_sweep([m], [0.5], v).miou_bezier),
+        ("seed", lambda v: sample_parameters(8, v).ts),
+        ("seed", lambda v: contour_loss(other, contour, seed=v).gradient),
     ]
 
 
@@ -676,7 +683,8 @@ def test_integer_arguments_are_checked_at_the_entry(value):
 
 
 def test_numpy_integer_arguments_keep_outputs():
-    sizes = {"degree": 3, "samples_per_segment": 16, "width": 8, "height": 8, "n": 24, "k": 6}
+    sizes = {"degree": 3, "samples_per_segment": 16, "width": 8, "height": 8, "n": 24, "k": 6,
+             "seed": 5, "count": 2, "trials": 2}
     for name, call in integer_calls():
         got, want = call(np.int64(sizes[name])), call(sizes[name])
         assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -611,7 +611,42 @@ CRACK_CASES = {
     "frame_without_corners": with_holes(np.ones((6, 7), dtype=bool), (0, 0, 1, 1), (0, 6, 1, 1),
                                         (5, 0, 1, 1), (5, 6, 1, 1)),
 }
-MASKS = list(SHAPED.values()) + random_masks(400, seed=1) + list(CRACK_CASES.values())
+
+
+def dense_random_masks():
+    """Random masks 60 to 200 px wide and of density 0.3 to 0.9, so most
+    rows hold runs that cross a 64-bit word edge or end at one."""
+    rng = np.random.default_rng(29)
+    return {f"dense_{w}": rng.random((int(rng.integers(6, 14)), w)) < rng.uniform(0.3, 0.9)
+            for w in (60, 64, 65, 100, 128, 137, 200)}
+
+
+def last_above_first(width):
+    """Rows whose last pixel is set, each directly above a row whose first
+    pixel is set: each pair is two components unless a row wraps."""
+    m = np.zeros((6, width), dtype=bool)
+    m[0, -3:] = m[1, :2] = m[2, -1] = m[3, 0] = m[4, -1] = m[5, :] = True
+    return m
+
+
+def word_rows(width):
+    """Full rows, every other row full, and columns striped two ways."""
+    cols = np.arange(width)
+    return {f"full_{width}": np.ones((3, width), dtype=bool),
+            f"every_other_row_{width}": (np.arange(5) % 2 == 0)[:, None] & np.ones(width, dtype=bool),
+            f"column_stripes_{width}": np.tile(cols % 2 == 0, (4, 1)),
+            f"diagonal_stripes_{width}": (cols + np.arange(5)[:, None]) % 3 == 0}
+
+
+# runs on the edges of 64-bit words, after CRACK_CASES in MASKS for the
+# same reason
+WORD_CASES = {
+    **dense_random_masks(),
+    **{f"last_above_first_{w}": last_above_first(w) for w in (63, 64, 65, 128)},
+    **{k: m for w in (63, 64, 65, 127, 128, 129) for k, m in word_rows(w).items()},
+}
+MASKS = (list(SHAPED.values()) + random_masks(400, seed=1) + list(CRACK_CASES.values())
+         + list(WORD_CASES.values()))
 
 
 # ---------------------------------------------------------------- tests
