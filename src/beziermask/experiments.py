@@ -184,9 +184,14 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     feeds both the Bezier fit and the polygon baseline. All of a mask's
     noisy contours are drawn first and rasterized as (B, n, 2) stacks of
     at most as many frames as fit in 4 MiB of bool pixels (one at least),
-    so memory stays linear in frame area. Deltas must be finite and
-    non-negative, and trials an integer (TypeError otherwise) of at least
-    1; anything else raises ValueError.
+    so memory stays linear in frame area. The noise of mask i, delta di
+    and trial t comes from the two children that
+    SeedSequence([seed, i, di, t]).spawn(2) would give; the key goes to
+    SeedSequence as its 32-bit words in one uint32 array (_key), which
+    gives the same pools as the list. Deltas must be finite and
+    non-negative, trials an integer of at least 1 and seed a
+    non-negative integer (TypeError for a non-integer, naming it);
+    anything else raises ValueError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas >= 0)):
@@ -194,6 +199,9 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     sum_b = np.zeros(len(deltas))
     sum_p = np.zeros(len(deltas))
     n_scored = 0
@@ -209,8 +217,8 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
         bezier, polygon = [], []
         for di, delta in enumerate(deltas):
             for t in range(trials):
-                # the two children SeedSequence(key).spawn(2) would give
-                key = [seed, i, di, t]
+                # the two children SeedSequence([seed, i, di, t]).spawn(2) would give
+                key = _key(seed, i, di, t)
                 s_bez = np.random.SeedSequence(key, spawn_key=(0,))
                 s_poly = np.random.SeedSequence(key, spawn_key=(1,))
                 noisy = perturb_contour(contour, delta, s_bez)
@@ -226,6 +234,21 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
         raise DegenerateShapeError("no mask in the corpus was usable")
     denom = n_scored * trials
     return SensitivityCurve(deltas, sum_b / denom, sum_p / denom, trials)
+
+
+def _key(*values) -> np.ndarray:
+    """The entropy that SeedSequence makes of the list of non-negative
+    ints `values`: the 32-bit words of each, least significant first
+    ([0] for 0), in one uint32 array, which SeedSequence copies as it is
+    where it would convert each int of a list."""
+    words = []
+    for value in values:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.array(words, dtype=np.uint32)
 
 
 def _ious(polys: list, m: np.ndarray) -> np.ndarray:

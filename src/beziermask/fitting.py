@@ -250,10 +250,16 @@ def contour_to_json(contour: PiecewiseContour) -> str:
 
 
 def _whole(v, key: str) -> int:
-    """v as an int if it is a whole number: 64, 64.0 or np.int64(64), not 64.9 or True."""
+    """v as an int if it is a whole number that a double holds exactly,
+    at most 2**53 in magnitude: 64, 64.0 or np.int64(64), not 64.9, True,
+    1e300 or 10**400."""
     if (type(v) is int or isinstance(v, np.integer)
             or isinstance(v, (float, np.floating)) and v.is_integer()):
-        return int(v)
+        v = int(v)
+        if abs(v) > 2 ** 53:
+            raise ContourFormatError(f"{key} must be at most 2**53 in magnitude, "
+                                     f"got a number of {v.bit_length()} bits")
+        return v
     raise ContourFormatError(f"{key} must be a whole number, got {v!r}")
 
 

@@ -34,9 +34,13 @@ frames) time and O(crossings) bytes besides the output frames; every
 frame byte is written, even for a small object on a large frame. A
 (B, n, 2) stack of polygons is filled and outlined by the same numpy
 calls as one polygon, into (B, height, width) frames, and each slice
-equals the single-polygon raster bit for bit. The noise sweep of
-experiments.sensitivity_sweep rasterizes in such stacks of at most
-4 MiB of frames.
+equals the single-polygon raster bit for bit. The stack is read once
+into contiguous 1-D per-axis edge arrays (_Edges: each edge's start x
+and y, its end y, and its dx and dy), which the fill and the outline
+of polygon_to_mask share, and the first pixel center at or past a
+value is found by arithmetic (_centers_below), not by a binary search.
+The noise sweep of experiments.sensitivity_sweep rasterizes in such
+stacks of at most 4 MiB of frames.
 
 Boundary extraction, shared with metrics.compare_masks, packs each
 frame's rows 8 pixels to a byte in one pass, then finds the box and the
@@ -525,7 +529,8 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     the frame are fine (the fill clips naturally). `vertices` is an
     (n, 2) array of (x, y) with n >= 3, giving a (height, width) mask,
     or a stack of B such polygons, (B, n, 2), giving (B, height, width)
-    masks whose slices equal the single-polygon calls bit for bit. Each
+    masks whose slices equal the single-polygon calls bit for bit. The
+    stack is read once into 1-D per-axis edge arrays (_Edges). Each
     edge crosses the rows whose center y lies in [ymin, ymax), so a
     shared vertex is counted once and horizontal edges never; a crossing
     at x flips the parity of every pixel in its row whose center is >= x.
@@ -536,16 +541,32 @@ def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarr
     frame; memory is the output frames plus O(crossings). An infinite
     coordinate raises ValueError.
     """
-    a, b, single, width, height = _polygon(vertices, width, height)
-    out = _fill(a, b, width, height)
+    edges, single, width, height = _polygon(vertices, width, height)
+    out = _fill(edges, width, height)
     return out[0] if single else out
 
 
+@dataclass
+class _Edges:
+    """The edges of B polygons of n vertices each, as 1-D per-axis arrays
+    of B * n entries: edge p * n + i runs from vertex i of polygon p,
+    (x1, y1), to its next vertex (vertex 0 after the last), whose y is
+    y2; dx and dy are the end minus the start."""
+
+    x1: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    count: int
+    sides: int
+
+
 def _polygon(vertices, width: int, height: int):
-    """(vertices, next vertices, single, width, height): the polygons as
-    (B, n, 2) float arrays, after checking the stack, the frame (integers
-    >= 1) and that no coordinate is infinite, whether the input was one
-    (n, 2) polygon, and the frame as ints."""
+    """(edges, single, width, height): the polygons' _Edges, after
+    checking the stack, the frame (integers >= 1) and that no coordinate
+    is infinite, whether the input was one (n, 2) polygon, and the frame
+    as ints."""
     a = np.asarray(vertices, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != 2:
         raise ValueError(f"vertices must be an (n, 2) or (B, n, 2) array, not shape {a.shape}")
@@ -559,37 +580,61 @@ def _polygon(vertices, width: int, height: int):
     single = a.ndim == 2
     if single:
         a = a[None]
-    return a, np.concatenate([a[:, 1:], a[:, :1]], axis=1), single, width, height
-
-
-def _fill(a: np.ndarray, b: np.ndarray, width: int, height: int) -> np.ndarray:
-    """The even-odd fills, (B, height, width), of the polygons with edges
-    a[p, i] -> b[p, i]."""
     count, sides = a.shape[:2]
-    (x1, y1), (x2, y2) = a.reshape(-1, 2).T, b.reshape(-1, 2).T
-    ys = np.arange(height) + 0.5
-    # rows first..last-1 are those with ymin <= ys < ymax (half-open)
-    first = np.searchsorted(ys, np.minimum(y1, y2), side="left")
-    last = np.searchsorted(ys, np.maximum(y1, y2), side="left")
-    edges, rows = _expand(first, last)
-    t = (ys[rows] - y1[edges]) / (y2 - y1)[edges]
-    xs = x1[edges] + t * (x2 - x1)[edges]
+    # start[axis, p, i] is vertex i of polygon p and end[axis, p, i] the
+    # next one; only the two ends of an edge are subtracted, so an
+    # overflow warns as it would for each polygon alone
+    start = a.transpose(2, 0, 1).copy()
+    end = np.concatenate([start[:, :, 1:], start[:, :, :1]], axis=2)
+    (x1, y1), (dx, dy) = start.reshape(2, -1), (end - start).reshape(2, -1)
+    return _Edges(x1, y1, end[1].ravel(), dx, dy, count, sides), single, width, height
+
+
+def _fill(edges: _Edges, width: int, height: int) -> np.ndarray:
+    """The even-odd fills, (B, height, width), of the polygons' _Edges."""
+    y1, y2 = edges.y1, edges.y2
+    # rows first..last-1 are those whose center y = row + 0.5 has
+    # ymin <= y < ymax (half-open)
+    first = _centers_below(np.minimum(y1, y2), height)
+    last = _centers_below(np.maximum(y1, y2), height)
+    crossed, rows = _expand(first, last)
+    t = (rows + 0.5 - y1[crossed]) / edges.dy[crossed]
+    xs = edges.x1[crossed] + t * edges.dx[crossed]
     # first pixel center >= xs, or `width` when there is none
-    cols = np.searchsorted(np.arange(width) + 0.5, xs, side="left")
+    cols = _centers_below(xs, width)
     # fill the B stacked frames in raster order, each crossing a flat
     # position where the parity flips. A crossing at col == width flips
     # nothing in its row and lands on the next row's first position; that
     # is right because, with the reset marks below, every row holds an
     # even number of marks, so every row starts at parity 0
-    rows = edges // sides * height + rows    # row in the stacked frames
+    rows = crossed // edges.sides * height + rows    # row in the stacked frames
     marks = rows * width + cols
     # a NaN vertex can leave a row crossed an odd number of times: one more
     # mark at its end resets the parity for the next row, and that row
     # stays 1 up to the right edge
-    odd = np.flatnonzero(np.bincount(rows, minlength=count * height) & 1)
+    odd = np.flatnonzero(np.bincount(rows, minlength=edges.count * height) & 1)
     marks = np.concatenate([marks, (odd + 1) * width])
     marks.sort()
-    return _alternating(marks, count * height * width).reshape(count, height, width)
+    return _alternating(marks, edges.count * height * width).reshape(edges.count, height, width)
+
+
+def _centers_below(v: np.ndarray, size: int) -> np.ndarray:
+    """np.searchsorted(np.arange(size) + 0.5, v): how many of the pixel
+    centers 0.5 .. size - 0.5 lie below each v, NaN above them all.
+
+    That count is ceil(v - 0.5) clipped to [0, size], and the rounded
+    difference gives it too: rounding is monotone and integers are exact,
+    so it can only cross an integer k in 0 .. size - 1 when the exact
+    v - 0.5 lies strictly between k and k + 1. Then 0.5 < v < size + 0.5
+    < 2**52, so ulp(v) divides 0.5 and v - 0.5 is exact. fmin maps NaN
+    to size. Five passes, where a binary search per value is several
+    times slower.
+    """
+    count = v - 0.5
+    np.ceil(count, out=count)
+    np.fmin(count, size, out=count)
+    np.fmax(count, 0, out=count)
+    return count.astype(np.intp)
 
 
 def _frame(starts: np.ndarray, stops: np.ndarray, stride: int, shape) -> np.ndarray:
@@ -627,47 +672,59 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     foreground too. `vertices` is one (n, 2) polygon or a (B, n, 2)
     stack, as for rasterize_polygon, and the result is (height, width)
     or (B, height, width) to match; each slice of a stack equals the
-    single-polygon call bit for bit. The fill is rasterize_polygon's
-    run-length fill. The outline is every vertex plus, on each edge
-    longer than 0.5 px, the n - 1 interior points at fractions k / n
-    (n = ceil(length / 0.5)); each marks the pixel it falls in, and the
-    whole stack's are stamped through one flat index. Only the k whose
-    points can land in the frame are generated: when a vertex of the
-    stack lies outside the frame widened by one pixel, each edge is
-    clipped to that widened frame, and one more k is taken on each side,
-    so the work is bounded by the frame and not by the coordinates. Time
-    is O(crossings * log(crossings) + B * frame + perimeter in the
-    frame), the B * frame paid even for a small object on a large frame;
-    memory is the output frames plus O(crossings + perimeter in the
-    frame).
+    single-polygon call bit for bit. The stack is read once into 1-D
+    per-axis edge arrays (_Edges), which the fill (rasterize_polygon's
+    run-length fill) and the outline share. The outline is every vertex
+    plus, on each edge longer than 0.5 px, the n - 1 interior points at
+    fractions k / n (n = ceil(length / 0.5)); each marks the pixel it
+    falls in, and the whole stack's are stamped through one flat index.
+    Only the k whose points can land in the frame are generated: when a
+    vertex of the stack is NaN or lies outside the frame widened by one
+    pixel, each edge is clipped to that widened frame, axis by axis, and
+    one more k is taken on each side, so the work is bounded by the
+    frame and not by the coordinates. Time is O(crossings *
+    log(crossings) + B * frame + perimeter in the frame), the B * frame
+    paid even for a small object on a large frame; memory is the output
+    frames plus O(crossings + perimeter in the frame).
     """
-    a, b, single, width, height = _polygon(vertices, width, height)
-    out = _fill(a, b, width, height)
-    sides = a.shape[1]
-    a, step = a.reshape(-1, 2), (b - a).reshape(-1, 2)
-    lengths = np.hypot(step[:, 0], step[:, 1])
+    edges, single, width, height = _polygon(vertices, width, height)
+    out = _fill(edges, width, height)
+    x1, y1, dx, dy = edges.x1, edges.y1, edges.dx, edges.dy
+    lengths = np.hypot(dx, dy)
     # k and n must be exact in float64: longer edges get no interior points
     long_edges = np.flatnonzero((lengths > 0.5) & (lengths < 2.0 ** 52))
     n = np.ceil(lengths[long_edges] / 0.5)
-    first, stop = np.ones_like(n), n
-    widened = np.array([width, height]) + 1.0
-    if not np.all((a >= -1.0) & (a <= widened)):
-        # slab clip: a + s * step lies in the widened frame for s in [lo, hi];
-        # fmin/fmax drop the 0/0 of an edge lying on the widened border
-        a0, d = a[long_edges], step[long_edges]
+    right, bottom = width + 1.0, height + 1.0  # the frame widened by one pixel
+    # a NaN fails every comparison, so it takes the clip; the initial 0.0
+    # lies in the widened frame and gives an empty stack a value to test
+    if (x1.min(initial=0.0) >= -1.0 and x1.max(initial=0.0) <= right
+            and y1.min(initial=0.0) >= -1.0 and y1.max(initial=0.0) <= bottom):
+        # k = 1 .. n - 1 on each long edge
+        counts = n.astype(int) - 1
+        sample = np.repeat(np.arange(n.size), counts)
+        k = np.arange(1, sample.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    else:
+        # slab clip: (x0, y0) + s * (ex, ey) lies in the widened frame for s
+        # in [lo, hi]; fmin/fmax drop the 0/0 of an edge lying on the widened
+        # border
+        x0, y0, ex, ey = x1[long_edges], y1[long_edges], dx[long_edges], dy[long_edges]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s1, s2 = (-1.0 - a0) / d, (widened - a0) / d
-        lo = np.fmax(*np.fmin(s1, s2).T)
-        hi = np.fmin(*np.fmax(s1, s2).T)
+            sx1, sx2 = (-1.0 - x0) / ex, (right - x0) / ex
+            sy1, sy2 = (-1.0 - y0) / ey, (bottom - y0) / ey
+        lo = np.fmax(np.fmin(sx1, sx2), np.fmin(sy1, sy2))
+        hi = np.fmin(np.fmax(sx1, sx2), np.fmax(sy1, sy2))
         first = np.clip(np.floor(lo * n) - 1, 1, n)
         stop = np.clip(np.ceil(hi * n) + 2, first, n)
-    edges, k = _expand(first.astype(int), stop.astype(int))
-    frac = k / n[edges]
-    e = long_edges[edges]
-    x = np.concatenate([a[:, 0], a[e, 0] + frac * step[e, 0]])
-    y = np.concatenate([a[:, 1], a[e, 1] + frac * step[e, 1]])
-    polygon = np.concatenate([np.arange(len(a)), e]) // sides
+        sample, k = _expand(first.astype(int), stop.astype(int))
+    frac = k / n[sample]
+    e = long_edges[sample]
+    x = np.concatenate([x1, x1[e] + frac * dx[e]])
+    y = np.concatenate([y1, y1[e] + frac * dy[e]])
+    # the flat position of each polygon's frame, per vertex and per point
+    frame = np.repeat(np.arange(edges.count) * (height * width), edges.sides)
+    frame = np.concatenate([frame, frame[e]])
     keep = (x >= 0) & (x < width) & (y >= 0) & (y < height)
-    rows, cols = np.floor(y[keep]).astype(np.intp), np.floor(x[keep]).astype(np.intp)
-    out.ravel()[(polygon[keep] * height + rows) * width + cols] = True
+    # kept coordinates are not negative, so truncation is their floor
+    rows, cols = y[keep].astype(np.intp), x[keep].astype(np.intp)
+    out.ravel()[frame[keep] + rows * width + cols] = True
     return out[0] if single else out

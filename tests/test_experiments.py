@@ -1,5 +1,6 @@
 """Tests for the synthetic corpus and the two study drivers."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from beziermask import (DegenerateShapeError, ShapeSpec, blob_corpus,
                         degree_sweep, fidelity_study, generate_shape,
                         perturb_contour, polygon_baseline, polygon_to_mask,
                         sensitivity_sweep)
+from beziermask.experiments import _key
 from beziermask.fitting import encode_mask, flatten
 from beziermask.mask import trace_boundary
 from beziermask.metrics import compare_masks
@@ -233,6 +235,24 @@ class TestSensitivitySweep:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 sensitivity_sweep(blob_masks[:1], deltas, trials)
+
+    def test_negative_seed_fails_up_front(self, blob_masks):
+        # numpy raised "expected non-negative integer" from the first trial
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            sensitivity_sweep(blob_masks[:1], [1.0], 1, -1)
+
+    def test_word_keys_give_the_list_key_streams(self):
+        """The sweep hands SeedSequence the words of [seed, i, di, t]
+        (experiments._key): the same pool, so the same streams, as the
+        list, for one- to four-word values and both spawned children."""
+        seeds = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 10 ** 30)
+        for key in itertools.product(seeds, *[(0, 1, 2 ** 32)] * 3):
+            words = _key(*key)
+            assert words.dtype == np.uint32
+            for child in (0, 1):
+                got = np.random.SeedSequence(words, spawn_key=(child,)).generate_state(4)
+                want = np.random.SeedSequence(list(key), spawn_key=(child,)).generate_state(4)
+                assert np.array_equal(got, want), (key, child)
 
     def test_memory_does_not_grow_with_trials(self):
         """A sweep rasterizes in stacks of at most 4 MiB of frames: four

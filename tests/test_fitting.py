@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,7 +410,6 @@ class TestContourJson:
     def test_closure_enforced_on_read(self):
         rng = np.random.default_rng(22)
         doc = contour_to_json(random_contour(rng))
-        import json
         broken = json.loads(doc)
         broken["segments"][0]["control_points"][5][0] += 1.0
         with pytest.raises(ContourFormatError):
@@ -444,6 +445,25 @@ class TestContourJson:
             scale_contour(c, width, 16)
         with pytest.raises(ContourFormatError, match="height must be a whole number"):
             scale_contour(c, 16, width)
+
+    @pytest.mark.parametrize("big", [2 ** 53 + 1, 10 ** 400, 1e300, -2.0 ** 54], ids=repr)
+    def test_frames_beyond_a_double_are_rejected(self, big):
+        """A frame a double cannot hold: 10**400 used to raise OverflowError
+        later, from contour_loss or from scale_contour's division."""
+        c = unflatten(np.arange(40.0) / 4, 16, 16)
+        with pytest.raises(ContourFormatError, match=r"^width must be at most 2\*\*53 in magnitude"):
+            PiecewiseContour(c.control_points, big, 64)
+        with pytest.raises(ContourFormatError, match=r"^height must be at most 2\*\*53 in magnitude"):
+            scale_contour(c, 64, big)
+        doc = json.loads(contour_to_json(c))
+        doc["width"] = big
+        with pytest.raises(ContourFormatError, match=r"^width must be at most 2\*\*53 in magnitude"):
+            contour_from_json(json.dumps(doc))
+
+    def test_frames_up_to_2_53_are_kept(self):
+        c = unflatten(np.arange(40.0) / 4, 16, 16)
+        made = PiecewiseContour(c.control_points, 2 ** 53, 2.0 ** 53)
+        assert (made.width, made.height) == (2 ** 53, 2 ** 53)
 
 
 def test_scale_contour_preserves_closure():

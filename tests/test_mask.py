@@ -435,6 +435,33 @@ class TestRasterizePolygon:
         assert inter / union >= 0.9
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 255, 256, 2049, 100_003])
+def test_centers_below_is_the_search_of_the_centers(size):
+    """mask._centers_below, the count that the fill takes for its rows and
+    columns, against np.searchsorted on the pixel centers: every center
+    and whole number near the frame and random values, each exact and
+    up to four ulps either side, NaN, signed zeros, subnormals, and
+    values at and beyond 2**52, where v - 0.5 rounds."""
+    from beziermask.mask import _centers_below
+    rng = np.random.default_rng(size)
+    base = np.concatenate([
+        np.arange(-6, 2 * size + 7) * 0.5, rng.uniform(-2.0, size + 2.0, 5000),
+        [np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0 ** 51 + 0.5,
+         2.0 ** 52 - 0.5, 2.0 ** 52, 2.0 ** 52 + 1, 2.0 ** 53, -2.0 ** 52, -2.0 ** 52 - 1]])
+    values = [base]
+    for direction in (np.inf, -np.inf):
+        v = base
+        for _ in range(4):
+            v = np.nextafter(v, direction)
+            values.append(v)
+    values = np.concatenate(values)
+    want = np.searchsorted(np.arange(size) + 0.5, values, side="left")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _centers_below(values, size)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def outline_pixels(verts, width, height):
     """Pixels under every vertex and under the 0.5-px sampling of each
     edge: an edge of length L > 0.5 gets n - 1 interior points at
@@ -605,6 +632,16 @@ class TestPolygonStacks:
         assert fn(np.zeros((0, 3, 2)), 8, 5).shape == (0, 5, 8)
 
     @pytest.mark.parametrize("fn", [rasterize_polygon, polygon_to_mask])
+    def test_far_apart_vertices_of_different_edges_do_not_overflow(self, fn):
+        # no edge overflows, but the last x of the first polygon and its
+        # first y are 2e308 apart: only the two ends of an edge are
+        # subtracted, so nothing warns (warnings are errors here)
+        v = np.array([(0.0, 1e308), (0.0, 0.0), (-1e308, 0.0)])
+        got = fn(np.stack([v, -v]), 8, 8)
+        for raster, verts in zip(got, (v, -v)):
+            np.testing.assert_array_equal(raster, fn(verts, 8, 8))
+
+    @pytest.mark.parametrize("fn", [rasterize_polygon, polygon_to_mask])
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
     @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["+inf", "-inf"])
@@ -668,6 +705,7 @@ def integer_calls():
         ("seed", lambda v: generate_shape(ShapeSpec("blob", 16, 16, v))),
         ("count", lambda v: np.array(blob_corpus(v, 0))),
         ("trials", lambda v: sensitivity_sweep([m], [0.5], v).miou_bezier),
+        ("seed", lambda v: sensitivity_sweep([m], [0.5], 1, v).miou_bezier),
         ("seed", lambda v: sample_parameters(8, v).ts),
         ("seed", lambda v: contour_loss(other, contour, seed=v).gradient),
     ]

@@ -1506,7 +1506,8 @@ def sweep_masks():
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
 def test_sensitivity_sweep(sweep_masks, trials):
-    for seed, deltas in ((1, [0.0, 1.0, 4.0]), (2, [3.0, 0.0])):
+    # 2**32 + 5 takes two 32-bit words of the sweep's key
+    for seed, deltas in ((1, [0.0, 1.0, 4.0]), (2, [3.0, 0.0]), (2 ** 32 + 5, [2.0])):
         curve = sensitivity_sweep(sweep_masks, deltas, trials, seed)
         bezier, polygon = per_polygon_sweep(sweep_masks, deltas, trials, seed)
         assert_same(curve.miou_bezier, bezier)
