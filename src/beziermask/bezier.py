@@ -41,7 +41,8 @@ class BezierSegment:
 
 
 def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
-    """Rows b_{n,i}(t) = binom(n, i) (1-t)^(n-i) t^i, one per t: (len(ts), n+1)."""
+    """Rows b_{n,i}(t) = binom(n, i) (1-t)^(n-i) t^i, one per t: (len(ts), n+1).
+    A degree outside 1..MAX_DEGREE or a t outside [0, 1] raises ValueError."""
     degree = _integer(degree, "degree")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -63,7 +64,8 @@ def basis_matrix(degree: int, ts: np.ndarray) -> np.ndarray:
 
 def eval_de_casteljau(segment: BezierSegment, t: float) -> np.ndarray:
     """Evaluate B(t) by repeated t:(1-t) linear interpolation, an oracle
-    for basis_matrix that shares none of its arithmetic."""
+    for basis_matrix that shares none of its arithmetic; ValueError for a
+    t outside [0, 1]."""
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"parameter t must lie in [0, 1], got {t}")
     pts = segment.control_points.copy()

@@ -1,17 +1,10 @@
 """Differentiable decoding of piecewise contours and the training loss.
 
-Decoding is linear: the (n, 20) operator A of a SampleSet holds in row j
-the degree-5 Bernstein basis of t_j in the columns of its segment's six
-control points, and the (2n, 40) Jacobian J is kron(A, I_2). A SampleSet
-is immutable and builds A and J once, on first use; contour_loss caches
-the SampleSet of each of its 16 most recent (n, seed) pairs, and the
-frame scale of each of its 16 most recent frames, so a call only copies
-the cached J, decodes and differentiates through it and takes two
-smooth L1s of 8 numpy passes each: about 0.026 ms at n = 72.
-
-Both loss terms use smooth L1 on coordinates normalized by the frame
-size (x / width, y / height) with beta = 1, and are averaged over
-elements so the two terms are balanced at weight 1 each.
+Decoding is linear in the control points: a SampleSet holds the
+operator and the Jacobian that decode a degree-5 contour at its
+(segment, t) pairs. contour_loss adds two smooth L1 terms (smooth_l1)
+on coordinates normalized by the frame size. Every function here that
+takes a contour raises ValueError unless it is of degree 5.
 """
 
 from __future__ import annotations
@@ -86,7 +79,8 @@ class LossValue:
 
 def sample_parameters(n: int, seed: int) -> SampleSet:
     """n uniform ts, each paired with a uniform segment id. Deterministic per
-    seed; n and seed must be integers (TypeError otherwise)."""
+    seed; n and seed must be integers (TypeError otherwise) and n at least
+    1 (ValueError otherwise)."""
     n, seed = _integer(n, "n"), _integer(seed, "seed")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -123,7 +117,6 @@ def decode_points(contour: PiecewiseContour, samples: SampleSet) -> np.ndarray:
 def decode_jacobian(contour: PiecewiseContour, samples: SampleSet) -> np.ndarray:
     """Exact Jacobian of decode_points wrt flatten(contour), shape (2n, 40).
 
-    kron(A, I_2): row 2j (x_j) touches only even columns, row 2j+1 only odd.
     A fresh, writable copy of samples.jacobian.
     """
     if contour.degree != 5:
@@ -135,7 +128,8 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray):
     """Mean smooth L1 over elements with beta = 1: 0.5 d^2 inside |d| < 1,
     |d| - 0.5 outside.
 
-    Returns (loss, gradient wrt pred). Empty inputs raise ValueError.
+    Returns (loss, gradient wrt pred). Inputs of different shapes, or
+    empty ones, raise ValueError.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -159,9 +153,13 @@ def contour_loss(pred: PiecewiseContour, gt: PiecewiseContour,
                  n: int = DEFAULT_NUM_SAMPLES, seed: int = 0) -> LossValue:
     """Combined regression + point-matching loss with its analytic gradient.
 
-    The same (segment, t) set, fixed per (n, seed), is applied to both
-    contours, so the matching term compares corresponding points; its
-    gradient is the Jacobian's transpose times the points' gradient.
+    Both terms are smooth_l1 (beta = 1, a mean over elements, weight 1)
+    on coordinates divided by the frame size: one on the 40-vectors and
+    one on the points decoded from both contours at the (segment, t) set
+    sample_parameters(n, seed), so that it compares corresponding points;
+    its gradient is the Jacobian's transpose times the points' gradient.
+    Contours of different frames raise ValueError, and n and seed
+    sample_parameters' errors.
     """
     if pred.degree != 5 or gt.degree != 5:
         raise ValueError("loss requires degree-5 contours")

@@ -60,7 +60,8 @@ class SensitivityCurve:
 
 def generate_shape(spec: ShapeSpec) -> np.ndarray:
     """Deterministic single-component mask for the spec; retries with a
-    perturbed seed if a draw comes out empty or disconnected."""
+    perturbed seed if a draw comes out empty or disconnected, and raises
+    DegenerateShapeError after 100 draws."""
     for attempt in range(100):
         rng = np.random.default_rng(spec.seed + attempt * _SEED_STEP)
         poly_sets = _draw_polygons(spec, rng)
@@ -114,7 +115,8 @@ def blob_corpus(count: int, seed: int = 0) -> list:
 def fidelity_study(masks, degree: int = 5,
                    samples_per_segment: int = fitting.DEFAULT_SAMPLES,
                    smooth_radius: int = 0) -> FidelityResult:
-    """Encode -> decode -> rasterize each mask and score IoU vs the source."""
+    """Encode -> decode -> rasterize each mask and score IoU vs the source.
+    Masks that do not encode are skipped; DegenerateShapeError if all are."""
     ious, residuals = [], []
     skipped = 0
     for m in masks:
@@ -152,7 +154,8 @@ def perturb_contour(contour: fitting.PiecewiseContour, delta: float,
     """Add i.i.d. Gaussian noise (std delta, pixels) to all 20 points.
 
     Noise is applied through the 40-vector layout, so each shared
-    junction gets a single draw and closure is preserved.
+    junction gets a single draw and closure is preserved. A negative
+    delta raises ValueError.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -162,7 +165,8 @@ def perturb_contour(contour: fitting.PiecewiseContour, delta: float,
 
 
 def polygon_baseline(trace: BoundaryTrace, k: int = 20) -> np.ndarray:
-    """k evenly indexed trace points, the fixed-budget polygon baseline."""
+    """k evenly indexed trace points, the fixed-budget polygon baseline: a
+    k below 3 raises ValueError, a trace shorter than k DegenerateShapeError."""
     m, k = len(trace), _integer(k, "k")
     if k < 3:
         raise ValueError("polygon needs k >= 3")
@@ -179,19 +183,15 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
 
     For every mask, noise level and trial, both representations get
     identically distributed Gaussian noise on their defining points; the
-    perturbed shape is rasterized and scored against the clean mask.
-    Each mask is traced once, on its largest component, and that trace
-    feeds both the Bezier fit and the polygon baseline. All of a mask's
-    noisy contours are drawn first and rasterized as (B, n, 2) stacks of
-    at most as many frames as fit in 4 MiB of bool pixels (one at least),
-    so memory stays linear in frame area. The noise of mask i, delta di
-    and trial t comes from the two children that
-    SeedSequence([seed, i, di, t]).spawn(2) would give; the key goes to
-    SeedSequence as its 32-bit words in one uint32 array (_key), which
-    gives the same pools as the list. Deltas must be finite and
-    non-negative, trials an integer of at least 1 and seed a
-    non-negative integer (TypeError for a non-integer, naming it);
-    anything else raises ValueError.
+    perturbed shape is rasterized (_ious) and scored against the clean
+    mask. Each mask is traced once, on its largest component, and that
+    trace feeds both the Bezier fit and the polygon baseline. The noise
+    of mask i, delta di and trial t comes from the two children that
+    SeedSequence([seed, i, di, t]).spawn(2) would give (_key). Deltas
+    must be finite and non-negative, trials an integer of at least 1 and
+    seed a non-negative integer (TypeError for a non-integer, naming
+    it); anything else raises ValueError, and a corpus with no mask of
+    at least `points` boundary points DegenerateShapeError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas >= 0)):
@@ -217,7 +217,6 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
         bezier, polygon = [], []
         for di, delta in enumerate(deltas):
             for t in range(trials):
-                # the two children SeedSequence([seed, i, di, t]).spawn(2) would give
                 key = _key(seed, i, di, t)
                 s_bez = np.random.SeedSequence(key, spawn_key=(0,))
                 s_poly = np.random.SeedSequence(key, spawn_key=(1,))
@@ -253,8 +252,9 @@ def _key(*values) -> np.ndarray:
 
 def _ious(polys: list, m: np.ndarray) -> np.ndarray:
     """IoU of polygon_to_mask(poly) with the non-empty mask m for each of
-    the equal-sized polygons in polys, rasterized in stacks of at most
-    _STACK_BYTES of frames."""
+    the equal-sized polygons in polys, rasterized as (B, n, 2) stacks of
+    at most _STACK_BYTES of frames (one at least), so that memory stays
+    linear in frame area."""
     h, w = m.shape
     per_stack = max(1, _STACK_BYTES // (h * w))
     area = np.count_nonzero(m)

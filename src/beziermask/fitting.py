@@ -2,16 +2,14 @@
 
 The boundary is split at its four extreme points (top, leftmost,
 bottom, rightmost) into four arcs; each arc is fitted with a fixed-
-endpoint Bezier curve by linear least squares. The arcs are gathered
-from the trace in one take and share one basis and one right-hand
-side; each keeps its own lstsq. A degree-5 contour has 4 extreme
-points + 16 interior control points = 40 free reals.
+endpoint Bezier curve by linear least squares (_fit_arcs). A degree-5
+contour has 4 extreme points + 16 interior control points = 40 free
+reals.
 
-A contour is one (4, d+1, 2) array of control points plus its frame;
-`PiecewiseContour.segments` derives BezierSegment views of its rows.
-flatten and unflatten are gathers between that array and the 40-vector,
-and decode_contour is one matmul of a cached basis over the four
-segments.
+A contour is one (4, d+1, 2) array of control points plus its frame
+(PiecewiseContour); flatten and unflatten map it to and from the
+40-vector. A contour, vector or document that breaks this format raises
+ContourFormatError.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ RCOND = 1e-10
 
 # flatten-layout indices of segment k's points: extreme k, 4 interior, extreme k+1
 _SEGMENT_POINTS = np.array([[k, *range(4 + 4 * k, 8 + 4 * k), (k + 1) % 4] for k in range(4)])
-# flat indices into a degree-5 control_points array that flatten reads:
-# the start of each segment, then each segment's interior points, x then y
+# flat indices of the degree-5 control_points array that flatten reads
 _FLAT_INDEX = (2 * np.r_[0:24:6, [6 * k + j for k in range(4) for j in range(1, 5)]][:, None]
                + [0, 1]).ravel()
 _NEXT = np.array([1, 2, 3, 0])
@@ -50,7 +47,7 @@ class PiecewiseContour:
     points in top -> leftmost -> bottom -> rightmost order. The shape,
     d >= 1, finite values, the chained junctions and a frame of at least
     1 x 1 are checked once, here, and width and height are stored as
-    ints (see _whole); `segments` derives BezierSegment views of the rows.
+    ints (see _whole).
     """
 
     control_points: np.ndarray
@@ -97,8 +94,9 @@ def find_extreme_points(trace: BoundaryTrace) -> tuple:
 
     top: min y then min x; leftmost: min x then max y; bottom: max y
     then max x; rightmost: max x then min y (i.e. the top-left,
-    bottom-left, bottom-right and top-right corner on ties). A NaN
-    coordinate raises DegenerateShapeError naming the non-finite points.
+    bottom-left, bottom-right and top-right corner on ties). A trace of
+    fewer than 4 points, or with a NaN coordinate, raises
+    DegenerateShapeError, naming the non-finite points.
     """
     if len(trace.points) < 4:
         raise DegenerateShapeError("trace shorter than 4 points")
@@ -115,17 +113,10 @@ def find_extreme_points(trace: BoundaryTrace) -> tuple:
 
 
 def fit_arc(arc: np.ndarray, degree: int):
-    """Least-squares Bezier fit of an arc with fixed endpoints.
-
-    Boundary point i gets parameter t_i = i / (m - 1). The first and
-    last control points are the arc endpoints; the interior ones solve
-    the linear system with the endpoint columns moved to the right-hand
-    side. Returns (BezierSegment, RMS residual in pixels): encode_trace's
-    fit, with its one lstsq, on one arc.
-
-    Arcs with fewer than degree+1 points skip the solve: interior
-    control points are placed uniformly along the endpoint chord (the
-    zero-information prior). A 1-point arc collapses to a point.
+    """Least-squares Bezier fit of degree `degree` to an (m, 2) arc of
+    (x, y) points, m >= 1, with fixed endpoints (_fit_arcs). Returns
+    (BezierSegment, RMS residual in pixels); another arc shape raises
+    ValueError, and a degree that basis_matrix refuses its error.
     """
     arc = np.asarray(arc, dtype=float)
     if arc.ndim != 2 or arc.shape[1] != 2 or len(arc) == 0:
@@ -138,11 +129,17 @@ def _fit_arcs(points: np.ndarray, starts: np.ndarray, lengths: np.ndarray, degre
     """(K, degree+1, 2) control points and (K,) RMS residuals of the K arcs
     points[starts[k]:starts[k] + lengths[k]], indices wrapping.
 
+    Point i of an arc of m points gets parameter t_i = i / (m - 1). The
+    first and last control points are the arc's endpoints; the interior
+    ones solve the linear system with the endpoint columns moved to the
+    right-hand side. An arc with fewer than degree+1 points skips the
+    solve: its interior control points are placed uniformly along the
+    endpoint chord (the zero-information prior), and a 1-point arc
+    collapses to a point.
+
     One gather of the arcs' points, one basis over all their parameters
-    and one right-hand side. Each arc keeps its own lstsq, or the chord
-    prior when shorter than degree+1 points, and its own mean, as one
-    batched solve or sum would change the last bits; it writes its
-    curve's points into one residual array.
+    and one right-hand side. Each arc keeps its own lstsq and its own
+    mean, as one batched solve or sum would change the last bits.
     """
     ends = np.cumsum(lengths)
     firsts = ends - lengths
@@ -168,11 +165,11 @@ def _fit_arcs(points: np.ndarray, starts: np.ndarray, lengths: np.ndarray, degre
 
 
 def encode_trace(trace: BoundaryTrace, degree: int, width: int, height: int):
-    """Fit a closed piecewise contour to an already-traced boundary.
-
-    The four arcs are gathered from the trace in one take and share one
-    basis; each arc keeps its own lstsq. Arc k starts and ends on
-    extreme points k and k+1, so the junctions chain by construction.
+    """Fit a closed piecewise contour to an already-traced boundary:
+    (PiecewiseContour, FitReport). Arc k runs from extreme point k to
+    k+1 (find_extreme_points) and is fitted by _fit_arcs, so the
+    junctions chain by construction. A trace that find_extreme_points
+    refuses raises its DegenerateShapeError.
     """
     starts = np.array(find_extreme_points(trace))
     lengths = (starts[_NEXT] - starts) % len(trace.points) + 1
@@ -183,9 +180,9 @@ def encode_trace(trace: BoundaryTrace, degree: int, width: int, height: int):
 def encode_mask(mask: np.ndarray, degree: int = 5, smooth_radius: int = 0):
     """Full pipeline: mask -> traced boundary -> fitted piecewise contour.
 
-    Keeps the largest component, optionally smooths the boundary
-    morphologically, traces it (mask.trace_object) and fits one Bezier
-    arc per quadrant. Returns (PiecewiseContour, FitReport).
+    Traces the mask's largest component, optionally smoothed
+    (mask.trace_object, whose errors it raises), and fits it
+    (encode_trace). Returns (PiecewiseContour, FitReport).
     """
     mask = np.asarray(mask, dtype=bool)
     trace = mask_ops.trace_object(mask, smooth_radius)
@@ -211,8 +208,8 @@ def decode_contour(contour: PiecewiseContour, samples_per_segment: int) -> np.nd
     """Sample the contour into a closed polygon of 4*(k-1) vertices.
 
     Each segment is sampled at k uniform parameters; the duplicate
-    junction point between consecutive segments is dropped. One matmul
-    of the cached (k, d+1) basis over all four segments.
+    junction point between consecutive segments is dropped. A k below 2
+    raises ValueError, one that is not an integer TypeError.
     """
     B = _decode_basis(contour.degree, _integer(samples_per_segment, "samples_per_segment"))
     return np.matmul(B, contour.control_points)[:, :-1].reshape(-1, 2)

@@ -1,52 +1,15 @@
 """Pixel-domain operations on binary masks.
 
-Masks are boolean numpy arrays of shape (height, width), True for
-foreground; a mask with another number of dimensions raises
-ValueError. Continuous coordinates use the pixel-center convention:
-pixel (row r, col c) sits at (x = c + 0.5, y = r + 0.5), with y growing
-downward. Foreground is 8-connected, background 4-connected.
+A mask is a bool numpy array of shape (height, width), True for
+foreground; every function here that takes a mask raises ValueError
+when it is not 2-D. Pixel (row r, col c) has its center at
+(x = c + 0.5, y = r + 0.5), with y growing downward. Foreground is
+8-connected, background 4-connected.
 
-Labelling, smoothing and tracing work on the row runs of the
-foreground, found on the frame's rows packed 64 pixels to a word: one
-np.packbits pass packs them, one pass over the words marks where each
-pixel differs from the one before it, and only the nonzero words of the
-marks are unpacked, so past the packing the cost follows the runs, and
-the memory is two bits per frame pixel whatever the foreground's extent.
-Components are labelled from those runs: two searchsorted calls find
-the runs of the next row that each run touches, and a union of the
-runs by hooking and pointer jumping joins them in a few O(runs) array
-passes per hooking round. The boundary is traced from the kept runs
-too, by following the cracks between pixels: each run end is a
-vertical crack, and sorting the run ends on each grid line pairs the
-cracks into the object's crack contours, O(runs * log(runs)) time. One
-Python step per two cracks walks the outer contour from the first run,
-so holes are not traced, and one sort of the pixels along it keeps each
-pixel's first occurrence, O(boundary * log(boundary)) time.
-The disc smoothing is interval coding on those runs (Ji, Piper & Tang
-1989; Breuel 2008): a dilation is the union of the runs moved by each
-disc row and widened by its half-width, an erosion is where all the runs
-moved by each row and shrunk by its half-width meet, and each is one
-np.sort of the runs' ends and a cumsum: O(runs * radius * log) time.
-Polygons are filled from runs too: the sorted crossings of the
-pixel-centre rows cut the output frames, in raster order, into runs of
-alternating parity, so a fill costs O(crossings * log(crossings) +
-frames) time and O(crossings) bytes besides the output frames; every
-frame byte is written, even for a small object on a large frame. A
-(B, n, 2) stack of polygons is filled and outlined by the same numpy
-calls as one polygon, into (B, height, width) frames, and each slice
-equals the single-polygon raster bit for bit. The stack is read once
-into contiguous 1-D per-axis edge arrays (_Edges: each edge's start x
-and y, its end y, and its dx and dy), which the fill and the outline
-of polygon_to_mask share, and the first pixel center at or past a
-value is found by arithmetic (_centers_below), not by a binary search.
-The noise sweep of experiments.sensitivity_sweep rasterizes in such
-stacks of at most 4 MiB of frames.
-
-Boundary extraction, shared with metrics.compare_masks, packs each
-frame's rows 8 pixels to a byte in one pass, then finds the box and the
-4-neighbour boundary on 64-bit words of the packed rows: O(box / 8)
-bytes besides the packing, about 0.19 B of traced memory per frame
-pixel on a 4096^2 blob (0.39 for compare_masks).
+Labelling, smoothing and tracing work on the foreground's row runs
+(_runs, _label, _smooth, _run_trace). Polygons are filled from their
+crossings of the pixel-center rows (_fill), and boundary pixels are
+found on rows packed 64 pixels to a word (_boundary).
 """
 
 from __future__ import annotations
@@ -113,10 +76,9 @@ def load_pgm(data: bytes) -> np.ndarray:
 
 
 def save_pgm(mask: np.ndarray) -> bytes:
-    """Serialize a 2-D boolean mask as binary PGM, foreground = 255.
-    The pixels are cast and scaled in one pass, in C order even for a
-    transposed mask, and copied once into the result. A mask with no rows
-    or no columns raises ValueError, as load_pgm rejects its header."""
+    """Serialize a 2-D boolean mask as binary PGM, foreground = 255, its
+    pixels in C order even for a transposed mask. A mask with no rows or
+    no columns raises ValueError, as load_pgm rejects its header."""
     mask = _as_2d(mask)
     h, w = mask.shape
     if h < 1 or w < 1:
@@ -146,7 +108,11 @@ def _runs(mask: np.ndarray):
 
     Bit k of a change word is set where pixel k differs from the pixel
     before it, bit 63 of the previous word at k = 0: the changes are the
-    starts and stops in turn.
+    starts and stops in turn. One packbits pass and one pass over the
+    words find them (_set_bits), so past the packing the cost follows
+    the runs. The packed rows and the change words, one bit per frame
+    pixel each, are the largest arrays held, whatever the foreground's
+    extent.
     """
     height, width = mask.shape
     words = width // 64 + 1
@@ -240,13 +206,8 @@ def _largest(starts: np.ndarray, stops: np.ndarray, stride: int):
 
 def largest_component(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 8-connected foreground component (first in
-    scan order on ties).
-
-    Labels the row runs of the packed frame (_runs): one packbits pass
-    and one pass over the packed words, then a few O(runs) array passes
-    per hooking round. The result is a copy of the mask when it is one
-    component, and is otherwise written from the kept runs, one np.repeat
-    over the frame.
+    scan order on ties) of the runs of _runs, labelled by _label: a new
+    bool array of the mask's shape.
     """
     mask = _as_2d(mask)
     starts, stops, stride = _runs(mask)
@@ -257,33 +218,39 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
 
 
 def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Opening followed by closing with a disc of the given radius.
-
-    The filter runs on the row runs of the packed frame (_runs) as in the
-    unbounded plane, and its result lies within the runs' bounding box:
-    O(runs * radius * log) time besides the packing and writing the
-    output frame. A radius that is not an integer raises TypeError, a
-    negative one ValueError.
+    """Opening followed by closing of the mask with the disc of `radius`
+    (_disc), as in the unbounded plane, by _smooth: a new bool array of
+    the mask's shape. A radius that is not an integer raises TypeError,
+    a negative one ValueError.
     """
-    radius = _radius(radius)
     mask = _as_2d(mask)
+    radius = _radius(radius, mask.shape)
     starts, stops, stride = _runs(mask)
     return _frame(*_smooth(starts, stops, stride, radius), stride, mask.shape)
 
 
-def _radius(radius) -> int:
-    """A smoothing radius as an int: TypeError unless it is an integer
-    (errors._integer), ValueError if it is negative."""
+def _radius(radius, shape) -> int:
+    """A smoothing radius for a frame of `shape` as an int: TypeError
+    unless it is an integer (errors._integer), ValueError if it is
+    negative. It is capped at (min(shape) + 1) // 2: the disc spans
+    2r + 1 rows and columns, so from there on the erosion is empty, and
+    with it the opening and the closing."""
     radius = _integer(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return radius
+    return min(radius, (min(shape) + 1) // 2)
 
 
 def _smooth(starts: np.ndarray, stops: np.ndarray, stride: int, radius: int):
     """(starts, stops) of the opening then closing, by the disc of `radius`,
     of the runs [starts[i], stops[i]) of _runs, with rows of `stride`
-    bits; the result lies within the runs' bounding box. Rows
+    bits; the result lies within the runs' bounding box.
+
+    Interval coding (Ji, Piper & Tang 1989; Breuel 2008): a dilation is
+    the union of the runs moved by each disc row and widened by its
+    half-width, an erosion is where all the runs moved by each row and
+    shrunk by its half-width meet, and each is one np.sort of the runs'
+    ends and a cumsum: O(runs * radius * log) time. Rows
     are keyed `radius` wider on each side, so no moved run reaches
     another row, and an erosion counts at most one run per disc row at
     any pixel, as the runs of a row are disjoint.
@@ -317,17 +284,12 @@ def _disc(radius: int) -> np.ndarray:
 
 
 def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
-    """Moore-neighbour boundary trace of a single 8-connected object: its
+    """The boundary trace (_run_trace) of a single 8-connected object: its
     outer boundary pixels, counterclockwise on screen from the
     top-left-most one, down its left side first. Returned pixel centers
     are unique; spur pixels walked twice are kept at first occurrence.
-    Holes are not traced.
-
-    The single-component check labels the row runs of the packed frame
-    (_runs), one packbits pass and one pass over the packed words plus a
-    few O(runs) array passes per hooking round, and the trace follows the
-    cracks of those runs: O(runs * log(runs)) to pair them,
-    O(boundary * log(boundary)) to keep first occurrences (_run_trace).
+    Holes are not traced. An empty mask raises EmptyMaskError, and more
+    than one component (_label) DegenerateShapeError.
     """
     starts, stops, stride = _runs(_as_2d(mask))
     if starts.size == 0:
@@ -341,23 +303,16 @@ def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
 def trace_object(mask: np.ndarray, smooth_radius: int = 0) -> BoundaryTrace:
     """The boundary encode_mask fits: trace_boundary of the largest
     component, after an optional morphological smoothing (whose own
-    largest component replaces it unless empty). The component is
-    labelled once from the row runs of the packed frame (_runs), one
-    packbits pass and one pass over the packed words plus a few O(runs)
-    array passes per hooking round, and traced from its runs alone
-    (_run_trace): O(runs * log(runs)) to pair their cracks,
-    O(boundary * log(boundary)) to keep first occurrences. Holes are not
-    traced. The packed rows and their change words, one bit per frame
-    pixel each, are the largest arrays held, both while the runs are
-    found, whatever the foreground's extent.
+    largest component replaces it unless empty), as a BoundaryTrace.
 
     Raises TypeError for a smooth_radius that is not an integer,
     ValueError for a negative one, EmptyMaskError on an empty mask and
     DegenerateShapeError when the object has fewer than 4 pixels or its
     boundary fewer than 4 points.
     """
-    smooth_radius = _radius(smooth_radius)
-    starts, stops, stride = _runs(_as_2d(mask))
+    mask = _as_2d(mask)
+    smooth_radius = _radius(smooth_radius, mask.shape)
+    starts, stops, stride = _runs(mask)
     if starts.size == 0:
         raise EmptyMaskError("cannot encode an empty mask")
     starts, stops = _largest(starts, stops, stride)
@@ -389,10 +344,9 @@ def _run_trace(starts: np.ndarray, stops: np.ndarray, stride: int) -> BoundaryTr
     arrival of all lines in order pairs with the k-th departure, and two
     sorts give every crack's successor. Following them from the first
     run's west crack takes one Python step per two cracks and never
-    reaches a hole. Each crack then gives its owner and the pixels along
-    its horizontal crack: heading east, those of the row above it;
-    heading west, those of the row below. One sort finds each pixel's
-    first occurrence.
+    reaches a hole. One sort finds the first occurrence of each pixel
+    that the cracks border. Pairing takes O(runs * log(runs)) time and
+    the first occurrences O(boundary * log(boundary)).
     """
     n = starts.size
     # crack c < n is the west crack of run c, crack c >= n the east crack
@@ -466,13 +420,7 @@ def _as_2d(mask) -> np.ndarray:
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:
     """Centers of foreground pixels with a background 4-neighbor or on the
-    border, in raster order.
-
-    One pass over the frame packs its rows 8 pixels to a byte (_packed);
-    the box of bytes holding the foreground is found on the packed rows,
-    and the boundary on that box 64 pixels at a time (_boundary), so the
-    rest takes O(bounding box / 8) bytes. A mask that is not 2-D raises
-    ValueError.
+    border, as an (m, 2) array of (x, y) in raster order (_boundary).
     """
     return _boundary(*_packed(_as_2d(mask)))[0]
 
@@ -504,7 +452,9 @@ def _boundary(grid: np.ndarray, box) -> list:
     word, the left neighbour of bit k is bit k - 1, carried from bit 63
     of the previous word at k = 0, and the right one is bit k + 1. The
     stack is worked on flat, its padding words zero in every result, and
-    only the words holding a boundary pixel are unpacked.
+    only the words holding a boundary pixel are unpacked. Besides the
+    packing, time is O(box / 64) word operations and memory O(box / 8)
+    bytes.
     """
     count, height, n = grid.shape
     flat = grid.ravel()
@@ -523,23 +473,15 @@ def _boundary(grid: np.ndarray, box) -> list:
 
 
 def rasterize_polygon(vertices: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Even-odd scanline fill of a closed polygon into a width x height mask.
+    """Even-odd fill (_fill) of a closed polygon into a width x height mask.
 
     A pixel is foreground iff its center lies inside; vertices outside
     the frame are fine (the fill clips naturally). `vertices` is an
     (n, 2) array of (x, y) with n >= 3, giving a (height, width) mask,
     or a stack of B such polygons, (B, n, 2), giving (B, height, width)
-    masks whose slices equal the single-polygon calls bit for bit. The
-    stack is read once into 1-D per-axis edge arrays (_Edges). Each
-    edge crosses the rows whose center y lies in [ymin, ymax), so a
-    shared vertex is counted once and horizontal edges never; a crossing
-    at x flips the parity of every pixel in its row whose center is >= x.
-    The sorted crossings of the whole stack split the B frames, in
-    raster order, into runs of alternating parity, written by one
-    np.repeat. Time is O(crossings * log(crossings) + B * frame), and
-    every frame byte is written even for a small object on a large
-    frame; memory is the output frames plus O(crossings). An infinite
-    coordinate raises ValueError.
+    masks whose slices equal the single-polygon calls bit for bit. Any
+    other shape, a frame below 1 x 1 and an infinite coordinate raise
+    ValueError, a width or height that is not an integer TypeError.
     """
     edges, single, width, height = _polygon(vertices, width, height)
     out = _fill(edges, width, height)
@@ -563,10 +505,9 @@ class _Edges:
 
 
 def _polygon(vertices, width: int, height: int):
-    """(edges, single, width, height): the polygons' _Edges, after
-    checking the stack, the frame (integers >= 1) and that no coordinate
-    is infinite, whether the input was one (n, 2) polygon, and the frame
-    as ints."""
+    """(edges, single, width, height): the polygons' _Edges, whether the
+    input was one (n, 2) polygon, and the frame as ints, after the checks
+    rasterize_polygon states."""
     a = np.asarray(vertices, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != 2:
         raise ValueError(f"vertices must be an (n, 2) or (B, n, 2) array, not shape {a.shape}")
@@ -591,10 +532,18 @@ def _polygon(vertices, width: int, height: int):
 
 
 def _fill(edges: _Edges, width: int, height: int) -> np.ndarray:
-    """The even-odd fills, (B, height, width), of the polygons' _Edges."""
+    """The even-odd fills, (B, height, width), of the polygons' _Edges.
+
+    Each edge crosses the rows whose center y lies in [ymin, ymax), so a
+    shared vertex is counted once and horizontal edges never; a crossing
+    at x flips the parity of every pixel in its row whose center is >= x.
+    The sorted crossings of the whole stack split the B frames, in
+    raster order, into runs of alternating parity (_alternating). Time
+    is O(crossings * log(crossings) + B * frame), and every frame byte is
+    written even for a small object on a large frame; memory is the
+    output frames plus O(crossings).
+    """
     y1, y2 = edges.y1, edges.y2
-    # rows first..last-1 are those whose center y = row + 0.5 has
-    # ymin <= y < ymax (half-open)
     first = _centers_below(np.minimum(y1, y2), height)
     last = _centers_below(np.maximum(y1, y2), height)
     crossed, rows = _expand(first, last)
@@ -602,11 +551,10 @@ def _fill(edges: _Edges, width: int, height: int) -> np.ndarray:
     xs = edges.x1[crossed] + t * edges.dx[crossed]
     # first pixel center >= xs, or `width` when there is none
     cols = _centers_below(xs, width)
-    # fill the B stacked frames in raster order, each crossing a flat
-    # position where the parity flips. A crossing at col == width flips
-    # nothing in its row and lands on the next row's first position; that
-    # is right because, with the reset marks below, every row holds an
-    # even number of marks, so every row starts at parity 0
+    # a crossing at col == width flips nothing in its row and lands on
+    # the next row's first position; that is right because, with the
+    # reset marks below, every row holds an even number of marks, so
+    # every row starts at parity 0
     rows = crossed // edges.sides * height + rows    # row in the stacked frames
     marks = rows * width + cols
     # a NaN vertex can leave a row crossed an odd number of times: one more
@@ -669,23 +617,19 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     Decoded contours interpolate the centers of boundary pixels, which
     were foreground in the source mask; a bare center-inside fill would
     systematically lose that half-pixel rim, so outline pixels are
-    foreground too. `vertices` is one (n, 2) polygon or a (B, n, 2)
-    stack, as for rasterize_polygon, and the result is (height, width)
-    or (B, height, width) to match; each slice of a stack equals the
-    single-polygon call bit for bit. The stack is read once into 1-D
-    per-axis edge arrays (_Edges), which the fill (rasterize_polygon's
-    run-length fill) and the outline share. The outline is every vertex
-    plus, on each edge longer than 0.5 px, the n - 1 interior points at
-    fractions k / n (n = ceil(length / 0.5)); each marks the pixel it
-    falls in, and the whole stack's are stamped through one flat index.
+    foreground too. Arguments, result and errors are rasterize_polygon's,
+    whose fill this is, and the outline shares its _Edges.
+
+    The outline is every vertex plus, on each edge longer than 0.5 px,
+    the n - 1 interior points at fractions k / n (n = ceil(length /
+    0.5)); each marks the pixel it falls in, and the whole stack's are
+    stamped through one flat index.
     Only the k whose points can land in the frame are generated: when a
     vertex of the stack is NaN or lies outside the frame widened by one
     pixel, each edge is clipped to that widened frame, axis by axis, and
     one more k is taken on each side, so the work is bounded by the
-    frame and not by the coordinates. Time is O(crossings *
-    log(crossings) + B * frame + perimeter in the frame), the B * frame
-    paid even for a small object on a large frame; memory is the output
-    frames plus O(crossings + perimeter in the frame).
+    frame and not by the coordinates: O(perimeter in the frame) time and
+    memory besides the fill's.
     """
     edges, single, width, height = _polygon(vertices, width, height)
     out = _fill(edges, width, height)

@@ -40,10 +40,7 @@ class DatasetSummary:
 
 def confusion(pred: np.ndarray, gt: np.ndarray) -> ConfusionCounts:
     """Pixelwise confusion counts; foreground is the positive class.
-
-    One AND and three count_nonzero passes over the frame; tn follows
-    by arithmetic.
-    """
+    Masks of different shapes raise ValueError."""
     pred = np.asarray(pred, dtype=bool)
     gt = np.asarray(gt, dtype=bool)
     if pred.shape != gt.shape:
@@ -77,16 +74,10 @@ def fp_fn_rates(counts: ConfusionCounts):
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two finite point sets.
-
-    Every distance taken equals the all-pairs matrix's. Upper bounds on
-    the points' nearest distances skip each query that cannot raise the
-    maximum (after Taha & Hanbury, TPAMI 2015): on boundaries, all but a
-    few hundred of some thousands; the rest are answered on row bands, or
-    by a k-d tree where the bands hold too many points (_hausdorff). Time
-    O((N + M) log), memory O(N + M). Each set must be an (N, 2) array of
-    (x, y) as floats: another shape, a NaN or an inf raises ValueError,
-    and an empty set UndefinedMetricError.
+    """Symmetric Hausdorff distance between two finite point sets, each
+    an (N, 2) array of (x, y) as floats: every distance taken equals the
+    all-pairs matrix's (_hausdorff). Another shape, a NaN or an inf
+    raises ValueError, and an empty set UndefinedMetricError.
 
     Squared distances must stay within the doubles: sets whose largest
     |coordinate| is below 2^-500, and sets whose distance overflows, are
@@ -109,8 +100,6 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
         d = _hausdorff(a, b)
         if d < math.inf:
             return d
-    # squares would underflow, or overflowed: take the distance on both
-    # sets scaled by the power of two that brings top into [1, 2)
     k = 1 - math.frexp(top)[1]
     return _hausdorff(np.ldexp(a, k), np.ldexp(b, k)) * 2.0 ** -k
 
@@ -118,6 +107,11 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def _hausdorff(a, b) -> float:
     """The Hausdorff distance of two non-empty sets of finite points, each
     in ascending y, or inf if a squared distance overflows.
+
+    Upper bounds on the points' nearest distances skip each query that
+    cannot raise the maximum (after Taha & Hanbury, TPAMI 2015); the rest
+    are answered on row bands, or by a k-d tree where the bands hold too
+    many points. Time O((N + M) log), memory O(N + M).
 
     The bounds are _bracket's in two orders of both sets. The (y, x) order
     is a stable sort of y * (x range + 2) + x: exact for pixel centres, and
@@ -189,9 +183,8 @@ def _tree_nearest(points, other):
     return lambda idx, bound: tree().query(points[idx])[0].max()
 
 
-# A batch of band queries with more candidates than this many per point of
-# the other set goes to the k-d tree: the crossover of the two, measured on
-# boundary pairs from 64^2 to 2048^2 and on noise masks (README).
+# The crossover of the bands and the k-d tree in _band_nearest, measured on
+# boundary pairs from 64^2 to 2048^2 and on noise masks (CHANGES.md).
 _BAND_CUTOFF = 8
 
 
@@ -221,22 +214,13 @@ def _band_nearest(p, q, tree):
 
 
 def compare_masks(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
-    """All per-pair metrics. Hausdorff is taken between boundary pixel sets.
+    """All per-pair metrics of two masks of one shape. Hausdorff is taken
+    between their boundary pixel sets (boundary_points), by _hausdorff.
 
     If either mask is empty the Hausdorff entry is NaN, and 0 if both
     are (the other metrics keep their conventional degenerate values).
-    Cost: one pass over each frame packs its rows 8 pixels to a byte;
-    the box of bytes holding both foregrounds is found on the packed
-    rows and copied into 64-bit words, and the counts (np.bitwise_count)
-    and both masks' boundary pixels take O(that box / 64) word
-    operations. The Hausdorff distance is hausdorff's core (_hausdorff)
-    on the boundaries, already in raster order: bounds from two key
-    orders, one a merge, then exact minima over bands of rows for the
-    few points they leave, or a k-d tree when the bands hold too many
-    points (noise, dissimilar masks). Memory: the two packed
-    frames, 1/8 byte per pixel each, then O(box / 8) bytes; about 0.39 B
-    of traced memory per frame pixel on a 4096^2 blob pair. Masks of
-    different shapes, or not 2-D, raise ValueError.
+    The counts are taken with np.bitwise_count on the words of _packed.
+    Masks of different shapes, or not 2-D, raise ValueError.
     """
     pred, gt = _as_2d(pred), _as_2d(gt)
     if pred.shape != gt.shape:
@@ -255,7 +239,7 @@ def compare_masks(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
 
 
 def summarize(reports) -> DatasetSummary:
-    """Arithmetic means of the per-pair metrics."""
+    """Arithmetic means of the per-pair metrics; ValueError for no reports."""
     reports = list(reports)
     if not reports:
         raise ValueError("summarize needs at least one report")

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import inspect
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import beziermask
 from beziermask import fitting, metrics
 from beziermask.cli import build_parser, main
 from beziermask.mask import boundary_points, load_pgm, polygon_to_mask, save_pgm
@@ -61,6 +63,18 @@ class TestEncode:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"encode failed: blob{i}: ValueError: radius must be >= 0" for i in range(4)]
         assert not list(out.glob("*.json"))
+
+    def test_smooth_radius_beyond_the_frame_encodes_unsmoothed(self, tmp_path):
+        # the radius is capped by the frame, where the smoothing leaves
+        # nothing and the unsmoothed object is fitted
+        m = np.zeros((64, 64), bool)
+        m[10:50, 12:40] = True
+        write_pgm(tmp_path / "m.pgm", m)
+        huge, plain = tmp_path / "huge", tmp_path / "plain"
+        assert run("encode", tmp_path / "m.pgm", "--out", huge, "--smooth-radius", "1000000") == 0
+        assert run("encode", tmp_path / "m.pgm", "--out", plain) == 0
+        for name in ("m.json", "fit_report.csv"):
+            assert (huge / name).read_bytes() == (plain / name).read_bytes()
 
     def test_jobs_bitwise_deterministic(self, mask_dir, tmp_path):
         out1, out2 = tmp_path / "j1", tmp_path / "j2"
@@ -374,6 +388,13 @@ class TestStudies:
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--count", "5") == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def test_every_exported_function_has_a_docstring():
+    """The package's public functions each state their contract."""
+    functions = [v for v in vars(beziermask).values() if inspect.isfunction(v)]
+    assert len(functions) >= 39
+    assert [f.__name__ for f in functions if not (f.__doc__ or "").strip()] == []
 
 
 def test_readme_commands_parse():

@@ -325,6 +325,35 @@ class TestTraceBoundary:
             got, want = morphological_smooth(m, np.int64(r)), morphological_smooth(m, r)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_smoothing_radius_is_capped_by_the_frame(self):
+        # a disc of radius r spans 2r + 1 rows and columns, so from
+        # (min(h, w) + 1) // 2 on the opening is empty: every larger radius
+        # gives the output of that one, and trace_object falls back to
+        # the unsmoothed component
+        m = generate_shape(ShapeSpec("blob", 64, 48, 1, 0.6))
+        cap, huge = (48 + 1) // 2, 10 ** 9
+        assert not morphological_smooth(m, cap).any()
+        np.testing.assert_array_equal(morphological_smooth(m, huge), morphological_smooth(m, cap))
+        np.testing.assert_array_equal(trace_object(m, huge).points, trace_object(m, cap).points)
+        np.testing.assert_array_equal(trace_object(m, huge).points, trace_object(m).points)
+        (got, got_fit), (want, want_fit) = encode_mask(m, 5, huge), encode_mask(m, 5, cap)
+        np.testing.assert_array_equal(got.control_points, want.control_points)
+        np.testing.assert_array_equal(got_fit.residuals, want_fit.residuals)
+
+    def test_smoothing_memory_is_bounded_by_the_frame(self):
+        # the disc and the runs moved by each of its rows stop growing at
+        # the capped radius (about 0.27 MB here); without the cap, radius
+        # 200 would take about 5 MB and radius 3000 about 1.1 GB
+        m = generate_shape(ShapeSpec("blob", 96, 80, 1, 0.6))
+        tracemalloc.start()
+        try:
+            out = morphological_smooth(m, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (80, 96) and not out.any()
+        assert peak < 2 ** 20
+
     def test_trace_object_memory_is_a_few_bytes_of_the_box(self):
         # labelling and the trace work on the runs found on the frame's
         # rows packed 64 pixels to a word: the packed rows and their
