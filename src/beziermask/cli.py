@@ -202,6 +202,8 @@ def cmd_degree_sweep(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"count must be >= 0, got {args.count}")
     out_dir = Path(args.out)
     for i in range(args.count):
         spec = experiments.ShapeSpec(args.kind, args.width, args.height,

@@ -68,7 +68,7 @@ def generate_shape(spec: ShapeSpec) -> np.ndarray:
         out = np.zeros((spec.height, spec.width), dtype=bool)
         for poly in poly_sets:
             out |= rasterize_polygon(poly, spec.width, spec.height)
-        if mask_ops._component_count(out) == 1:
+        if mask_ops._label(*mask_ops._runs(out))[0] == 1:
             return out
     raise DegenerateShapeError(f"could not generate a valid {spec.kind} mask")
 
@@ -108,8 +108,12 @@ def _draw_polygons(spec: ShapeSpec, rng) -> list:
 
 
 def blob_corpus(count: int, seed: int = 0) -> list:
-    """count 256 x 256 blobs at scale 0.6, with seeds seed, seed + 1, ..."""
-    return [generate_shape(ShapeSpec("blob", seed=seed + i)) for i in range(_integer(count, "count"))]
+    """count 256 x 256 blobs at scale 0.6, with seeds seed, seed + 1, ...;
+    a negative count raises ValueError."""
+    count = _integer(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return [generate_shape(ShapeSpec("blob", seed=seed + i)) for i in range(count)]
 
 
 def fidelity_study(masks, degree: int = 5,
@@ -154,11 +158,11 @@ def perturb_contour(contour: fitting.PiecewiseContour, delta: float,
     """Add i.i.d. Gaussian noise (std delta, pixels) to all 20 points.
 
     Noise is applied through the 40-vector layout, so each shared
-    junction gets a single draw and closure is preserved. A negative
-    delta raises ValueError.
+    junction gets a single draw and closure is preserved. A negative,
+    NaN or infinite delta raises ValueError.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     rng = np.random.default_rng(seed)
     vec = fitting.flatten(contour) + rng.normal(0.0, delta, 40)
     return fitting.unflatten(vec, contour.width, contour.height)
@@ -188,10 +192,11 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     trace feeds both the Bezier fit and the polygon baseline. The noise
     of mask i, delta di and trial t comes from the two children that
     SeedSequence([seed, i, di, t]).spawn(2) would give (_key). Deltas
-    must be finite and non-negative, trials an integer of at least 1 and
-    seed a non-negative integer (TypeError for a non-integer, naming
-    it); anything else raises ValueError, and a corpus with no mask of
-    at least `points` boundary points DegenerateShapeError.
+    must be finite and non-negative, trials an integer of at least 1,
+    points one of at least 3 and seed a non-negative integer (TypeError
+    for a non-integer, naming it); anything else raises ValueError, and
+    a corpus with no mask of at least `points` boundary points
+    DegenerateShapeError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas >= 0)):
@@ -199,6 +204,9 @@ def sensitivity_sweep(masks, deltas, trials: int, seed: int = 0,
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    points = _integer(points, "points")
+    if points < 3:
+        raise ValueError(f"points must be >= 3, got {points}")
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -186,11 +186,6 @@ def _label(starts: np.ndarray, stops: np.ndarray, stride: int):
     return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[parent]
 
 
-def _component_count(mask: np.ndarray) -> int:
-    """Number of 8-connected foreground components."""
-    return _label(*_runs(mask))[0]
-
-
 def _largest(starts: np.ndarray, stops: np.ndarray, stride: int):
     """(starts, stops) of the runs of the largest component among the
     runs [starts[i], stops[i]) of _runs, with rows of `stride` bits; the
@@ -218,10 +213,10 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
 
 
 def morphological_smooth(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Opening followed by closing of the mask with the disc of `radius`
-    (_disc), as in the unbounded plane, by _smooth: a new bool array of
-    the mask's shape. A radius that is not an integer raises TypeError,
-    a negative one ValueError.
+    """Opening followed by closing of the mask with the disc
+    dx^2 + dy^2 <= (radius + 1/2)^2, as in the unbounded plane, by _smooth:
+    a new bool array of the mask's shape. A radius that is not an integer
+    raises TypeError, a negative one ValueError.
     """
     mask = _as_2d(mask)
     radius = _radius(radius, mask.shape)
@@ -258,8 +253,11 @@ def _smooth(starts: np.ndarray, stops: np.ndarray, stride: int, radius: int):
     wide = stride + 2 * radius
     lift = starts // stride * (2 * radius) + radius  # key: row * wide + col + radius
     starts, stops = starts + lift, stops + lift
-    half = _disc(radius).sum(axis=1, keepdims=True) // 2
-    shift = np.arange(-radius, radius + 1)[:, None] * wide
+    dy = np.arange(-radius, radius + 1)[:, None]
+    # each disc row's half-width; the half-pixel slack lets radius 1 cover
+    # the full 3x3 neighborhood, where a strict radius leaves 1-px spikes
+    half = np.sqrt((radius + 0.5) ** 2 - dy * dy).astype(int)
+    shift = dy * wide
     for grow, depth in ((-half, 2 * radius + 1), (half, 1), (half, 1), (-half, 2 * radius + 1)):
         lo, hi = starts + shift - grow, stops + shift + grow
         kept = lo < hi
@@ -273,14 +271,6 @@ def _smooth(starts: np.ndarray, stops: np.ndarray, stride: int, radius: int):
         starts, stops = marks[0::2], marks[1::2]
     lift = starts // wide * (2 * radius) + radius
     return starts - lift, stops - lift
-
-
-def _disc(radius: int) -> np.ndarray:
-    # half-pixel slack so radius 1 covers the full 3x3 neighborhood;
-    # a strict-radius disc degenerates to a plus and leaves 1-px spikes
-    r = np.arange(-radius, radius + 1)
-    dx, dy = np.meshgrid(r, r)
-    return dx * dx + dy * dy <= (radius + 0.5) ** 2
 
 
 def trace_boundary(mask: np.ndarray) -> BoundaryTrace:
@@ -643,10 +633,7 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
     # lies in the widened frame and gives an empty stack a value to test
     if (x1.min(initial=0.0) >= -1.0 and x1.max(initial=0.0) <= right
             and y1.min(initial=0.0) >= -1.0 and y1.max(initial=0.0) <= bottom):
-        # k = 1 .. n - 1 on each long edge
-        counts = n.astype(int) - 1
-        sample = np.repeat(np.arange(n.size), counts)
-        k = np.arange(1, sample.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        first, stop = 1, n  # k = 1 .. n - 1 on each long edge
     else:
         # slab clip: (x0, y0) + s * (ex, ey) lies in the widened frame for s
         # in [lo, hi]; fmin/fmax drop the 0/0 of an edge lying on the widened
@@ -657,18 +644,17 @@ def polygon_to_mask(vertices: np.ndarray, width: int, height: int) -> np.ndarray
             sy1, sy2 = (-1.0 - y0) / ey, (bottom - y0) / ey
         lo = np.fmax(np.fmin(sx1, sx2), np.fmin(sy1, sy2))
         hi = np.fmin(np.fmax(sx1, sx2), np.fmax(sy1, sy2))
-        first = np.clip(np.floor(lo * n) - 1, 1, n)
+        first = np.clip(np.floor(lo * n) - 1, 1, n).astype(int)
         stop = np.clip(np.ceil(hi * n) + 2, first, n)
-        sample, k = _expand(first.astype(int), stop.astype(int))
+    sample, k = _expand(first, stop.astype(int))
     frac = k / n[sample]
     e = long_edges[sample]
     x = np.concatenate([x1, x1[e] + frac * dx[e]])
     y = np.concatenate([y1, y1[e] + frac * dy[e]])
-    # the flat position of each polygon's frame, per vertex and per point
-    frame = np.repeat(np.arange(edges.count) * (height * width), edges.sides)
-    frame = np.concatenate([frame, frame[e]])
+    # the polygon of each vertex and each point, from its edge's index
+    polygon = np.concatenate([np.arange(x1.size), e]) // edges.sides
     keep = (x >= 0) & (x < width) & (y >= 0) & (y < height)
     # kept coordinates are not negative, so truncation is their floor
     rows, cols = y[keep].astype(np.intp), x[keep].astype(np.intp)
-    out.ravel()[frame[keep] + rows * width + cols] = True
+    out.ravel()[(polygon[keep] * height + rows) * width + cols] = True
     return out[0] if single else out

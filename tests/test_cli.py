@@ -337,10 +337,15 @@ class TestStudies:
         (("fidelity", "--smooth-radius", "-1", "--count", "1"), "radius must be >= 0"),
         (("degree-sweep", "--count", "0"), "the corpus holds no mask"),
         (("gradcheck", "--count", "0"), "count must be >= 1"),
-        (("gradcheck", "--count", "-3"), "count must be >= 1")],
+        (("gradcheck", "--count", "-3"), "count must be >= 1"),
+        (("gen-synthetic", "--count", "-1"), "count must be >= 0, got -1"),
+        (("fidelity", "--count", "-1"), "count must be >= 0, got -1"),
+        (("sensitivity", "--count", "-1"), "count must be >= 0, got -1")],
         ids=["sensitivity", "fidelity", "gen-synthetic", "sensitivity-no-trials",
              "sensitivity-nan-delta", "sensitivity-inf-delta", "fidelity-negative-radius",
-             "degree-sweep-empty", "gradcheck-no-count", "gradcheck-negative-count"])
+             "degree-sweep-empty", "gradcheck-no-count", "gradcheck-negative-count",
+             "gen-synthetic-negative-count", "fidelity-negative-count",
+             "sensitivity-negative-count"])
     def test_bad_arguments_are_errors(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         if argv[0] != "gradcheck":  # the one study that writes no file

@@ -70,6 +70,11 @@ class TestGenerateShape:
         assert len(corpus) == 5
         assert len({m.tobytes() for m in corpus}) == 5
 
+    def test_blob_corpus_rejects_negative_count(self):
+        # the corpus was empty, and the studies blamed its masks
+        with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+            blob_corpus(-1)
+
 
 class TestPerturbContour:
     def test_delta_zero_is_identity(self, blob_masks):
@@ -95,8 +100,10 @@ class TestPerturbContour:
 
     def test_negative_delta_rejected(self, blob_masks):
         contour, _ = encode_mask(blob_masks[0], degree=5)
-        with pytest.raises(ValueError):
-            perturb_contour(contour, -1.0, seed=0)
+        # a NaN or infinite delta failed as a contour error, blaming the contour
+        for delta in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^delta must be finite and >= 0, got "):
+                perturb_contour(contour, delta, seed=0)
 
     def test_closure_preserved(self, blob_masks):
         contour, _ = encode_mask(blob_masks[0], degree=5)
@@ -235,6 +242,11 @@ class TestSensitivitySweep:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 sensitivity_sweep(blob_masks[:1], deltas, trials)
+
+    def test_points_below_three_fail_up_front(self, blob_masks):
+        # polygon_baseline raised "polygon needs k >= 3" after the first fit
+        with pytest.raises(ValueError, match="^points must be >= 3, got 2$"):
+            sensitivity_sweep(blob_masks[:1], [1.0], 1, points=2)
 
     def test_negative_seed_fails_up_front(self, blob_masks):
         # numpy raised "expected non-negative integer" from the first trial

@@ -18,7 +18,7 @@ from beziermask import (DegenerateShapeError, EmptyMaskError, PgmFormatError,
                         morphological_smooth, polygon_to_mask, rasterize_polygon,
                         save_pgm, sensitivity_sweep, trace_boundary, trace_object)
 from beziermask.experiments import ShapeSpec, generate_shape
-from beziermask.mask import _component_count
+from beziermask.mask import _label, _runs
 from beziermask.metrics import ConfusionCounts, MetricsReport, compare_masks, confusion
 
 
@@ -208,9 +208,8 @@ class TestMorphologicalSmooth:
     def test_matches_naive_morphology(self):
         # oracle works on a padded grid: the operators act on the whole
         # plane and the result is cropped back to the frame
-        from beziermask.mask import _disc
         rng = np.random.default_rng(4)
-        disc = _disc(1)
+        disc = np.ones((3, 3), bool)  # dx^2 + dy^2 <= 1.5^2: radius 1's disc
         for _ in range(10):
             m = ndimage.binary_dilation(rng.random((20, 20)) > 0.85)
             p = np.pad(m, 1)
@@ -227,12 +226,11 @@ class TestMorphologicalSmooth:
             np.testing.assert_array_equal(morphological_smooth(once, 1), once)
 
     def test_never_grows_beyond_dilation(self):
-        from beziermask.mask import _disc
         rng = np.random.default_rng(6)
         for _ in range(10):
             m = rng.random((16, 16)) > 0.7
             out = morphological_smooth(m, 1)
-            grown = naive_dilate(m, _disc(1))
+            grown = naive_dilate(m, np.ones((3, 3), bool))  # radius 1's disc
             assert not np.any(out & ~grown)
 
 
@@ -401,7 +399,7 @@ def test_all_background_outcomes(shape):
     m = np.zeros(shape, bool)
     for out in [largest_component(m)] + [morphological_smooth(m, r) for r in range(3)]:
         assert out.dtype == bool and out.shape == shape and not out.any()
-    assert _component_count(m) == 0
+    assert _label(*_runs(m))[0] == 0
     points = boundary_points(m)
     assert points.dtype == np.float64 and points.shape == (0, 2)
     with pytest.raises(EmptyMaskError, match="^cannot trace an empty mask$"):
